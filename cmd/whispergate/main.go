@@ -4,8 +4,8 @@
 // requests route to the backend whose content-addressed cache already
 // holds them (consistent hashing on the whisper-req-v1 hash, bounded-load
 // variant), dead or draining backends are detected by active /readyz
-// probes and routed around, failed forwards retry on the next replica,
-// and slow ones are optionally hedged.
+// probes and by failed forwards and routed around, failed forwards retry
+// on the next replica, and slow ones are optionally hedged.
 //
 // API:
 //
@@ -52,7 +52,7 @@ func main() {
 		backendsFile  = flag.String("backends-file", "", "file with one backend per line (# comments); re-read on SIGHUP")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "health-check cadence (jittered ±25%)")
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "health-check round-trip cap")
-		ejectAfter    = flag.Int("eject-after", 3, "consecutive probe failures before a backend is ejected")
+		ejectAfter    = flag.Int("eject-after", 3, "consecutive failures, failed probes and failed forwards alike, before a backend is ejected")
 		loadFactor    = flag.Float64("load-factor", 1.25, "bounded-load ceiling multiplier over the fair inflight share")
 		hedge         = flag.Bool("hedge", true, "hedge requests to a second replica past the experiment's observed p95")
 		hedgeMin      = flag.Duration("hedge-min", 25*time.Millisecond, "minimum in-flight time before a hedge may fire")

@@ -17,18 +17,24 @@ import (
 	"whisper/internal/server"
 )
 
-// Config sizes one Gateway.
+// Config sizes one Gateway and its backend pool.
 type Config struct {
-	// Backends is the initial whisperd member list.
+	// Backends is the initial whisperd member list ("host:port" or full
+	// URLs).
 	Backends []string
-	// ProbeInterval / ProbeTimeout / EjectAfter / LoadFactor / BreakAfter /
-	// BreakCooldown configure the backend pool; see PoolConfig.
+	// ProbeInterval is the health-check cadence (jittered ±25%) and the
+	// first reinstatement backoff of an ejected backend (<= 0:
+	// defaultProbeInterval).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	EjectAfter    int
-	LoadFactor    float64
-	BreakAfter    int
-	BreakCooldown time.Duration
+	// ProbeTimeout caps one probe round trip (<= 0: defaultProbeTimeout).
+	ProbeTimeout time.Duration
+	// EjectAfter is how many consecutive failures, probes and forwards
+	// alike, eject a backend (<= 0: defaultEjectAfter).
+	EjectAfter int
+	// LoadFactor is the bounded-load ceiling multiplier: a backend is
+	// skipped (affinity permitting) once its inflight count exceeds
+	// LoadFactor× the fair share (<= 1: defaultLoadFactor).
+	LoadFactor float64
 	// Hedge enables hedged requests: once a forward has been in flight
 	// longer than the experiment's observed p95 (floored by HedgeMin), a
 	// duplicate is fired at the next replica and the loser is cancelled.
@@ -74,34 +80,9 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: no backends configured")
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	log := cfg.Log
-	if log == nil {
-		log = logging.Discard()
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = defaultHedgeMin
-	}
-	hc := cfg.HTTP
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	pool := NewPool(PoolConfig{
-		Backends:      cfg.Backends,
-		ProbeInterval: cfg.ProbeInterval,
-		ProbeTimeout:  cfg.ProbeTimeout,
-		EjectAfter:    cfg.EjectAfter,
-		LoadFactor:    cfg.LoadFactor,
-		BreakAfter:    cfg.BreakAfter,
-		BreakCooldown: cfg.BreakCooldown,
-		HTTP:          hc,
-		Obs:           reg,
-		Log:           log,
-	})
-	return &Gateway{cfg: cfg, reg: reg, log: log, pool: pool, lat: newLatencies(), http: hc}, nil
+	pool := newPool(cfg)
+	cfg = pool.cfg
+	return &Gateway{cfg: cfg, reg: cfg.Obs, log: cfg.Log, pool: pool, lat: newLatencies(), http: cfg.HTTP}, nil
 }
 
 // Obs returns the gateway's telemetry registry.
@@ -349,7 +330,7 @@ func (g *Gateway) race(ctx context.Context, exp string, cands []*backend, payloa
 		next++
 		launched++
 		go func() {
-			r := g.attempt(actx, b, payload)
+			r := g.attempt(actx, b, exp, payload)
 			r.hedged = hedged
 			results <- r
 		}()
@@ -405,16 +386,12 @@ func (g *Gateway) race(ctx context.Context, exp string, cands []*backend, payloa
 }
 
 // attempt performs one POST /v1/run against one backend and classifies the
-// outcome. Connection errors and 5xx are retryable (the backend is dead,
-// draining, or broken — a replica can serve the same bytes); 429 and other
-// 4xx are final and relayed verbatim, Retry-After included, so the
-// backpressure contract survives the extra hop.
-func (g *Gateway) attempt(ctx context.Context, b *backend, payload []byte) fwdResult {
-	if !b.br.allow(time.Now()) {
-		g.reg.Counter("gate.breaker.rejected", obs.L("backend", b.name)).Inc()
-		return fwdResult{backend: b.name, retry: true,
-			err: fmt.Errorf("cluster: breaker open for %s", b.name)}
-	}
+// outcome. Connection errors, unreadable bodies and 5xx are retryable (the
+// backend is dead, draining, or broken — a replica can serve the same
+// bytes) and count against the backend's health; 429 and other 4xx are
+// final and relayed verbatim, Retry-After included, so the backpressure
+// contract survives the extra hop.
+func (g *Gateway) attempt(ctx context.Context, b *backend, exp string, payload []byte) fwdResult {
 	b.inflight.Add(1)
 	g.reg.Gauge("gate.backend.inflight", obs.L("backend", b.name)).Set(float64(b.inflight.Load()))
 	defer func() {
@@ -439,51 +416,39 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, payload []byte) fwdRe
 	start := time.Now()
 	resp, err := g.http.Do(hreq)
 	if err != nil {
-		// Retryable only if the parent request is still alive: a cancelled
-		// attempt (hedge loser, client gone) is not a backend failure.
-		if ctx.Err() == nil {
-			b.br.failure(time.Now())
-			g.pool.reportFailure(b)
-			return fwdResult{backend: b.name, retry: true, err: err}
-		}
-		return fwdResult{backend: b.name, err: err}
+		return g.failed(ctx, b, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		if ctx.Err() == nil {
-			b.br.failure(time.Now())
-			return fwdResult{backend: b.name, retry: true, err: err}
-		}
-		return fwdResult{backend: b.name, err: err}
+		return g.failed(ctx, b, err)
 	}
 	res := fwdResult{status: resp.StatusCode, header: resp.Header, body: body, backend: b.name}
-	switch {
-	case resp.StatusCode >= 500:
-		b.br.failure(time.Now())
+	if resp.StatusCode >= 500 {
+		g.pool.apply(b, forwardFailed, 0)
 		res.retry = true
-	case resp.StatusCode == http.StatusOK:
-		b.br.success()
-		g.pool.reportSuccess(b)
-		g.lat.observe(experimentOf(payload), time.Since(start))
+		return res
+	}
+	g.pool.apply(b, forwardOK, 0)
+	if resp.StatusCode == http.StatusOK {
+		g.lat.observe(exp, time.Since(start))
 		g.reg.Counter("gate.forwarded", obs.L("backend", b.name)).Inc()
 		g.reg.Histogram("gate.forward.us", obs.L("backend", b.name)).
 			Observe(uint64(time.Since(start).Microseconds()))
-	default:
-		// 4xx: the backend is fine, the request is not. Final.
-		b.br.success()
 	}
 	return res
 }
 
-// experimentOf recovers the experiment name from a canonical payload for
-// latency bucketing; best-effort (an undecodable payload buckets as "").
-func experimentOf(payload []byte) string {
-	var v struct {
-		Experiment string `json:"experiment"`
+// failed classifies a forward that got no complete response. It is a
+// retryable backend failure only if the parent request is still alive: a
+// cancelled attempt (hedge loser, client gone) says nothing about the
+// backend.
+func (g *Gateway) failed(ctx context.Context, b *backend, err error) fwdResult {
+	if ctx.Err() != nil {
+		return fwdResult{backend: b.name, err: err}
 	}
-	json.Unmarshal(payload, &v)
-	return v.Experiment
+	g.pool.apply(b, forwardFailed, 0)
+	return fwdResult{backend: b.name, retry: true, err: err}
 }
 
 // handleExperiments proxies GET /v1/experiments to the first healthy
@@ -501,7 +466,7 @@ func (g *Gateway) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := g.http.Do(hreq)
 		if err != nil {
-			g.pool.reportFailure(b)
+			g.pool.apply(b, forwardFailed, 0)
 			continue
 		}
 		body, err := io.ReadAll(resp.Body)

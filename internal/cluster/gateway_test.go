@@ -19,7 +19,7 @@ import (
 // stubBackend is a scripted whisperd stand-in for routing-behaviour tests
 // (the byte-identity tests use real server.Server backends instead). It
 // serves a fixed /v1/run body and can be told to delay, fail with a status,
-// or report draining.
+// report draining, or drop every connection.
 type stubBackend struct {
 	ts   *httptest.Server
 	body []byte
@@ -29,6 +29,7 @@ type stubBackend struct {
 	status     atomic.Int32 // non-zero: /v1/run replies this status
 	retryAfter atomic.Int32 // seconds, sent with a 429 status
 	draining   atomic.Bool  // /readyz reports draining
+	dead       atomic.Bool  // every request's connection is closed unanswered
 	cancelled  atomic.Bool  // a stalled /v1/run saw its context cancelled
 	lastReqID  atomic.Value // X-Whisper-Request-Id of the last /v1/run
 }
@@ -37,6 +38,12 @@ func newStubBackend(t *testing.T, body string) *stubBackend {
 	t.Helper()
 	b := &stubBackend{body: []byte(body)}
 	b.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if b.dead.Load() {
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+			return
+		}
 		switch r.URL.Path {
 		case "/v1/run":
 			b.runs.Add(1)
@@ -74,8 +81,6 @@ func newStubBackend(t *testing.T, body string) *stubBackend {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(status)
 			json.NewEncoder(w).Encode(ready)
-		case "/healthz":
-			w.Write([]byte("ok\n"))
 		default:
 			http.NotFound(w, r)
 		}

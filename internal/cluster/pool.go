@@ -12,10 +12,11 @@ import (
 	"time"
 
 	"whisper/internal/obs"
+	"whisper/internal/obs/logging"
 	"whisper/internal/server"
 )
 
-// Pool probe defaults.
+// Pool defaults.
 const (
 	defaultProbeInterval = 2 * time.Second
 	defaultProbeTimeout  = time.Second
@@ -24,40 +25,65 @@ const (
 	defaultLoadFactor    = 1.25
 )
 
-// backend is one pool member: its address, its routing state, and the
-// request-path trackers (inflight load, circuit breaker) the picker reads.
+// health is a backend's routing state. One consecutive-failure count drives
+// it, fed by probe verdicts and forward outcomes alike:
+//
+//	healthy ⇄ suspect → ejected → (passing probe after its backoff) → healthy
+//
+// and any state moves to draining when the backend's /readyz says so.
+type health int
+
+const (
+	healthy  health = iota // routed; no failure since the last success
+	suspect                // routed; 1 to EjectAfter-1 consecutive failures
+	ejected                // not routed; probed on the backoff schedule
+	draining               // alive but winding down; not routed
+)
+
+func (h health) String() string {
+	return [...]string{"healthy", "suspect", "ejected", "draining"}[h]
+}
+
+// event is one input to a backend's health state machine.
+type event int
+
+const (
+	probeUp       event = iota // /readyz: serving
+	probeDraining              // /readyz: alive but draining
+	probeDown                  // /readyz: unreachable or failing
+	forwardOK                  // a forward got an answer below 500
+	forwardFailed              // a forward got a connection error, an unreadable body, or a 5xx
+)
+
+// backend is one pool member: its address, its health state, and the
+// inflight load the picker reads.
 type backend struct {
 	name string // as configured, label-friendly ("127.0.0.1:8090")
 	base string // normalized URL ("http://127.0.0.1:8090")
 
 	inflight atomic.Int64
-	br       *breaker
 
 	mu         sync.Mutex
-	healthy    bool
-	draining   bool
-	fails      int           // consecutive probe failures
-	backoff    time.Duration // current reinstatement probe backoff
-	nextProbe  time.Time     // ejected backends probe on the backoff schedule
+	state      health
+	fails      int           // consecutive failures, probes and forwards alike
+	backoff    time.Duration // ejected: wait before the next probe
+	nextProbe  time.Time     // ejected: when the next probe is due
 	queueDepth int           // backend-reported inflight+waiting, from /readyz
 }
 
 // routeable reports whether the picker may send this backend new work.
-func (b *backend) routeable(now time.Time) bool {
+func (b *backend) routeable() bool {
 	b.mu.Lock()
-	ok := b.healthy && !b.draining
-	b.mu.Unlock()
-	return ok && !b.br.open(now)
+	defer b.mu.Unlock()
+	return b.state == healthy || b.state == suspect
 }
 
 // Pool is the health-checked backend set behind a Gateway: the configured
 // members (static list, reloadable), the consistent-hash ring over them,
-// and an active prober that ejects and reinstates members.
+// and an active prober that, with the forwarding path, drives each
+// member's health state.
 type Pool struct {
-	cfg  PoolConfig
-	reg  *obs.Registry
-	log  *slog.Logger
-	http *http.Client
+	cfg Config
 
 	mu       sync.Mutex
 	ring     *Ring
@@ -67,40 +93,10 @@ type Pool struct {
 	done chan struct{}
 }
 
-// PoolConfig sizes a Pool.
-type PoolConfig struct {
-	// Backends is the initial member list ("host:port" or full URLs).
-	Backends []string
-	// ProbeInterval is the health-check cadence (jittered ±25%; <= 0:
-	// defaultProbeInterval).
-	ProbeInterval time.Duration
-	// ProbeTimeout caps one probe round trip (<= 0: defaultProbeTimeout).
-	ProbeTimeout time.Duration
-	// EjectAfter is the consecutive-failure count that ejects a backend
-	// (<= 0: defaultEjectAfter).
-	EjectAfter int
-	// LoadFactor is the bounded-load ceiling multiplier: a backend is
-	// skipped (affinity permitting) once its inflight count exceeds
-	// LoadFactor× the fair share (<= 1: defaultLoadFactor).
-	LoadFactor float64
-	// BreakAfter / BreakCooldown configure each member's circuit breaker
-	// (<= 0: breaker defaults).
-	BreakAfter    int
-	BreakCooldown time.Duration
-	// HTTP is the probe (and, via Gateway, forwarding) transport; nil uses
-	// a dedicated client.
-	HTTP *http.Client
-	// Obs receives pool telemetry; nil disables it.
-	Obs *obs.Registry
-	// Log receives ejection/reinstatement events; nil discards.
-	Log *slog.Logger
-}
-
-// NewPool builds the pool and marks every backend healthy (optimistic: the
-// first probe round corrects that within one interval, and the request
-// path's breaker reacts even sooner). Call Start to begin probing and Stop
-// to halt it.
-func NewPool(cfg PoolConfig) *Pool {
+// newPool resolves cfg's defaults, builds the pool and marks every backend
+// healthy (optimistic: the first probe round, or the first failed forwards,
+// correct that). Call Start to begin probing and Stop to halt it.
+func newPool(cfg Config) *Pool {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = defaultProbeInterval
 	}
@@ -113,19 +109,20 @@ func NewPool(cfg PoolConfig) *Pool {
 	if cfg.LoadFactor <= 1 {
 		cfg.LoadFactor = defaultLoadFactor
 	}
-	log := cfg.Log
-	if log == nil {
-		log = slog.New(discardHandler{})
+	if cfg.HedgeMin <= 0 {
+		cfg.HedgeMin = defaultHedgeMin
 	}
-	hc := cfg.HTTP
-	if hc == nil {
-		hc = &http.Client{}
+	if cfg.HTTP == nil {
+		cfg.HTTP = &http.Client{}
+	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
+	if cfg.Log == nil {
+		cfg.Log = logging.Discard()
 	}
 	p := &Pool{
 		cfg:      cfg,
-		reg:      cfg.Obs,
-		log:      log,
-		http:     hc,
 		backends: make(map[string]*backend),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -133,14 +130,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	p.SetBackends(cfg.Backends)
 	return p
 }
-
-// discardHandler avoids importing logging just for a discard logger.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // normalizeAddr mirrors client.New's address handling.
 func normalizeAddr(addr string) (name, base string) {
@@ -156,10 +145,10 @@ func normalizeAddr(addr string) (name, base string) {
 }
 
 // SetBackends replaces the member set (the -backends-file reload path).
-// Retained members keep their health and breaker state; new members start
-// healthy; removed members leave the ring. The ring is rebuilt from the
-// configured set — ejection never rebuilds it, which is what makes
-// eject/reinstate minimal-remap.
+// Retained members keep their health state; new members start healthy;
+// removed members leave the ring. The ring is rebuilt from the configured
+// set — ejection never rebuilds it, which is what makes eject/reinstate
+// minimal-remap.
 func (p *Pool) SetBackends(addrs []string) {
 	p.mu.Lock()
 	next := make(map[string]*backend, len(addrs))
@@ -175,12 +164,7 @@ func (p *Pool) SetBackends(addrs []string) {
 		if b, ok := p.backends[name]; ok {
 			next[name] = b
 		} else {
-			next[name] = &backend{
-				name:    name,
-				base:    base,
-				healthy: true,
-				br:      newBreaker(p.cfg.BreakAfter, p.cfg.BreakCooldown),
-			}
+			next[name] = &backend{name: name, base: base}
 		}
 		names = append(names, name)
 	}
@@ -194,9 +178,9 @@ func (p *Pool) SetBackends(addrs []string) {
 	p.ring = NewRing(names)
 	p.mu.Unlock()
 
-	p.reg.Counter("gate.pool.reloads").Inc()
-	p.reg.Gauge("gate.backends.configured").Set(float64(len(names)))
-	p.log.LogAttrs(context.Background(), slog.LevelInfo, "backend set updated",
+	p.cfg.Obs.Counter("gate.pool.reloads").Inc()
+	p.cfg.Obs.Gauge("gate.backends.configured").Set(float64(len(names)))
+	p.cfg.Log.LogAttrs(context.Background(), slog.LevelInfo, "backend set updated",
 		slog.Int("members", len(names)), slog.Int("removed", removed))
 	p.publishHealthGauges()
 }
@@ -233,7 +217,7 @@ func (p *Pool) ProbeAll() {
 	var wg sync.WaitGroup
 	for _, b := range p.members() {
 		b.mu.Lock()
-		due := b.healthy || !now.Before(b.nextProbe)
+		due := b.state != ejected || !now.Before(b.nextProbe)
 		b.mu.Unlock()
 		if !due {
 			continue
@@ -248,38 +232,22 @@ func (p *Pool) ProbeAll() {
 	p.publishHealthGauges()
 }
 
-// probeVerdict classifies one health-check round trip.
-type probeVerdict int
-
-const (
-	probeUp probeVerdict = iota
-	probeDraining
-	probeDown
-)
-
-// probe checks one backend's /readyz (falling back to /healthz for
-// backends predating the readiness endpoint) and applies the verdict.
+// probe checks one backend's /readyz and applies the verdict. The readiness
+// document distinguishes a 503-but-alive draining backend from a dead one.
 func (p *Pool) probe(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.ProbeTimeout)
 	defer cancel()
-	verdict, depth := p.check(ctx, b, "/readyz")
-	if verdict == probeDown && ctx.Err() == nil {
-		// An older whisperd without /readyz 404s; its /healthz still
-		// distinguishes serving (200) from draining (503).
-		verdict, depth = p.check(ctx, b, "/healthz")
-	}
-	p.apply(b, verdict, depth)
+	ev, depth := p.check(ctx, b)
+	p.apply(b, ev, depth)
 }
 
-// check performs one GET probe. For /readyz it decodes the JSON readiness
-// document, so a 503-but-alive draining backend is distinguished from a
-// dead one.
-func (p *Pool) check(ctx context.Context, b *backend, path string) (probeVerdict, int) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
+// check performs one GET /readyz and classifies it.
+func (p *Pool) check(ctx context.Context, b *backend) (event, int) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
 	if err != nil {
 		return probeDown, 0
 	}
-	resp, err := p.http.Do(req)
+	resp, err := p.cfg.HTTP.Do(req)
 	if err != nil {
 		return probeDown, 0
 	}
@@ -302,80 +270,66 @@ func (p *Pool) check(ctx context.Context, b *backend, path string) (probeVerdict
 	}
 }
 
-// apply folds a probe verdict into the backend's routing state.
-func (p *Pool) apply(b *backend, v probeVerdict, depth int) {
-	now := time.Now()
+// apply folds one event into b's health state; depth is the queue depth a
+// probe reported. Probe and forward failures advance one count, and
+// EjectAfter of them in a row eject. An ejected backend ignores forwards
+// still in flight — a late 200 does not bring it back, a late failure does
+// not lengthen its backoff — and only probes move it: a passing one
+// reinstates it, a failing one doubles the wait for the next.
+func (p *Pool) apply(b *backend, ev event, depth int) {
 	b.mu.Lock()
-	wasHealthy, wasDraining := b.healthy, b.draining
-	switch v {
+	from := b.state
+	switch ev {
 	case probeUp:
-		b.healthy = true
-		b.draining = false
-		b.fails = 0
-		b.backoff = 0
-		b.queueDepth = depth
+		b.state, b.fails, b.queueDepth = healthy, 0, depth
 	case probeDraining:
-		// Alive but winding down: stop routing, don't count failures — a
-		// draining backend comes back as itself (restart) or disappears
-		// from the config, it is not broken.
-		b.draining = true
-		b.fails = 0
-		b.queueDepth = depth
-	case probeDown:
-		b.fails++
-		if b.healthy && b.fails >= p.cfg.EjectAfter {
-			b.healthy = false
-			b.backoff = p.cfg.ProbeInterval
-		} else if !b.healthy {
-			// Already ejected: exponential reinstatement backoff.
-			b.backoff *= 2
-			if b.backoff > maxProbeBackoff {
-				b.backoff = maxProbeBackoff
+		// Draining is not a failure: the backend comes back as itself
+		// (restart) or leaves the config.
+		b.state, b.fails, b.queueDepth = draining, 0, depth
+	case forwardOK:
+		if from == suspect {
+			b.state, b.fails = healthy, 0
+		}
+	case probeDown, forwardFailed:
+		switch {
+		case from == ejected && ev == probeDown:
+			b.backoff = min(2*b.backoff, maxProbeBackoff)
+			b.nextProbe = time.Now().Add(b.backoff)
+		case from == ejected:
+			// A forward that was in flight at ejection: already counted.
+		default:
+			b.fails++
+			if b.fails >= p.cfg.EjectAfter {
+				b.state = ejected
+				b.backoff = p.cfg.ProbeInterval
+				b.nextProbe = time.Now().Add(b.backoff)
+			} else if from == healthy {
+				b.state = suspect
 			}
 		}
-		b.nextProbe = now.Add(b.backoff)
 	}
-	nowHealthy, nowDraining := b.healthy, b.draining
-	fails := b.fails
+	to, fails := b.state, b.fails
 	b.mu.Unlock()
-
-	lbl := obs.L("backend", b.name)
-	switch {
-	case wasHealthy && !nowHealthy:
-		p.reg.Counter("gate.ejections", lbl).Inc()
-		p.log.LogAttrs(context.Background(), slog.LevelWarn, "backend ejected",
-			slog.String("backend", b.name), slog.Int("consecutive_failures", fails))
-	case !wasHealthy && nowHealthy:
-		p.reg.Counter("gate.reinstatements", lbl).Inc()
-		p.log.LogAttrs(context.Background(), slog.LevelInfo, "backend reinstated",
-			slog.String("backend", b.name))
-	case !wasDraining && nowDraining:
-		p.log.LogAttrs(context.Background(), slog.LevelInfo, "backend draining, rerouting",
-			slog.String("backend", b.name))
-	}
-}
-
-// reportFailure folds a forwarding-path failure into health accounting, so
-// a backend that died between probes is ejected by the traffic it drops,
-// not only by the next probe round.
-func (p *Pool) reportFailure(b *backend) {
-	p.apply(b, probeDown, 0)
-	p.publishHealthGauges()
-}
-
-// reportSuccess resets failure accounting from the forwarding path.
-func (p *Pool) reportSuccess(b *backend) {
-	b.mu.Lock()
-	b.fails = 0
-	if !b.healthy {
-		b.healthy = true
-		b.backoff = 0
-		b.mu.Unlock()
-		p.reg.Counter("gate.reinstatements", obs.L("backend", b.name)).Inc()
-		p.publishHealthGauges()
+	if to == from {
 		return
 	}
-	b.mu.Unlock()
+
+	ctx := context.Background()
+	lbl := obs.L("backend", b.name)
+	switch {
+	case to == ejected:
+		p.cfg.Obs.Counter("gate.ejections", lbl).Inc()
+		p.cfg.Log.LogAttrs(ctx, slog.LevelWarn, "backend ejected",
+			slog.String("backend", b.name), slog.Int("consecutive_failures", fails))
+	case from == ejected:
+		p.cfg.Obs.Counter("gate.reinstatements", lbl).Inc()
+		p.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "backend reinstated",
+			slog.String("backend", b.name), slog.String("state", to.String()))
+	case to == draining:
+		p.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "backend draining, rerouting",
+			slog.String("backend", b.name))
+	}
+	p.publishHealthGauges()
 }
 
 // members snapshots the backend set.
@@ -398,10 +352,9 @@ func (p *Pool) lookup(name string) *backend {
 
 // Healthy returns how many members are currently routeable.
 func (p *Pool) Healthy() int {
-	now := time.Now()
 	n := 0
 	for _, b := range p.members() {
-		if b.routeable(now) {
+		if b.routeable() {
 			n++
 		}
 	}
@@ -424,12 +377,11 @@ func (p *Pool) pick(hash string) []*backend {
 	p.mu.Lock()
 	ring := p.ring
 	p.mu.Unlock()
-	now := time.Now()
 	var cands []*backend
 	total := int64(0)
 	for _, name := range ring.Order(hash) {
 		b := p.lookup(name)
-		if b == nil || !b.routeable(now) {
+		if b == nil || !b.routeable() {
 			continue
 		}
 		cands = append(cands, b)
@@ -454,23 +406,19 @@ func (p *Pool) pick(hash string) []*backend {
 // publishHealthGauges refreshes the per-backend and aggregate health
 // gauges /metrics serves.
 func (p *Pool) publishHealthGauges() {
-	if p.reg == nil {
-		return
-	}
-	now := time.Now()
 	healthy := 0
 	for _, b := range p.members() {
 		lbl := obs.L("backend", b.name)
 		up := 0.0
-		if b.routeable(now) {
+		if b.routeable() {
 			up = 1
 			healthy++
 		}
-		p.reg.Gauge("gate.backend.healthy", lbl).Set(up)
+		p.cfg.Obs.Gauge("gate.backend.healthy", lbl).Set(up)
 		b.mu.Lock()
 		depth := b.queueDepth
 		b.mu.Unlock()
-		p.reg.Gauge("gate.backend.queue_depth", lbl).Set(float64(depth))
+		p.cfg.Obs.Gauge("gate.backend.queue_depth", lbl).Set(float64(depth))
 	}
-	p.reg.Gauge("gate.backends.healthy").Set(float64(healthy))
+	p.cfg.Obs.Gauge("gate.backends.healthy").Set(float64(healthy))
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -21,8 +22,6 @@ type readyBackend struct {
 	// mode: 0 serving, 1 draining, 2 dead (connection-level refusal is
 	// simulated with a hijack-close; a plain 500 would also count as down).
 	mode atomic.Int32
-	// legacy drops /readyz (404) so the prober must fall back to /healthz.
-	legacy atomic.Bool
 }
 
 func newReadyBackend(t *testing.T) *readyBackend {
@@ -44,10 +43,6 @@ func newReadyBackend(t *testing.T) *readyBackend {
 		draining := b.mode.Load() == 1
 		switch r.URL.Path {
 		case "/readyz":
-			if b.legacy.Load() {
-				http.NotFound(w, r)
-				return
-			}
 			ready := server.Readiness{Status: "ok", QueueInflight: 2, QueueWaiting: 1}
 			status := http.StatusOK
 			if draining {
@@ -56,12 +51,6 @@ func newReadyBackend(t *testing.T) *readyBackend {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(status)
 			json.NewEncoder(w).Encode(ready)
-		case "/healthz":
-			if draining {
-				http.Error(w, "draining", http.StatusServiceUnavailable)
-				return
-			}
-			w.Write([]byte("ok\n"))
 		default:
 			http.NotFound(w, r)
 		}
@@ -79,7 +68,7 @@ func (b *readyBackend) addr() string { return strings.TrimPrefix(b.ts.URL, "http
 func TestPoolEjectionAndReinstatement(t *testing.T) {
 	b := newReadyBackend(t)
 	reg := obs.NewRegistry()
-	p := NewPool(PoolConfig{
+	p := newPool(Config{
 		Backends:      []string{b.addr()},
 		ProbeInterval: 5 * time.Millisecond,
 		ProbeTimeout:  time.Second,
@@ -129,7 +118,7 @@ func TestPoolEjectionAndReinstatement(t *testing.T) {
 func TestPoolDrainingStopsRoutingWithoutEjection(t *testing.T) {
 	b := newReadyBackend(t)
 	reg := obs.NewRegistry()
-	p := NewPool(PoolConfig{Backends: []string{b.addr()}, Obs: reg})
+	p := newPool(Config{Backends: []string{b.addr()}, Obs: reg})
 
 	b.mode.Store(1) // draining
 	for i := 0; i < 5; i++ {
@@ -149,23 +138,6 @@ func TestPoolDrainingStopsRoutingWithoutEjection(t *testing.T) {
 	}
 }
 
-// TestPoolHealthzFallback checks a backend without /readyz (older whisperd)
-// is still probed correctly through /healthz.
-func TestPoolHealthzFallback(t *testing.T) {
-	b := newReadyBackend(t)
-	b.legacy.Store(true)
-	p := NewPool(PoolConfig{Backends: []string{b.addr()}, EjectAfter: 1})
-	p.ProbeAll()
-	if p.Healthy() != 1 {
-		t.Fatal("healthy legacy backend (404 /readyz, 200 /healthz) was ejected")
-	}
-	b.mode.Store(1)
-	p.ProbeAll()
-	if p.Healthy() != 0 {
-		t.Fatal("draining legacy backend still routeable")
-	}
-}
-
 // TestPoolSetBackendsRetainsState checks the reload path: members kept
 // across a SetBackends call keep their health state, new members join
 // healthy, and removed members leave the ring.
@@ -173,7 +145,7 @@ func TestPoolSetBackendsRetainsState(t *testing.T) {
 	dead := newReadyBackend(t)
 	dead.mode.Store(2)
 	live := newReadyBackend(t)
-	p := NewPool(PoolConfig{
+	p := newPool(Config{
 		Backends:   []string{dead.addr(), live.addr()},
 		EjectAfter: 1,
 	})
@@ -210,7 +182,7 @@ func TestPoolSetBackendsRetainsState(t *testing.T) {
 func TestPoolPickSkipsUnrouteable(t *testing.T) {
 	a := newReadyBackend(t)
 	b := newReadyBackend(t)
-	p := NewPool(PoolConfig{Backends: []string{a.addr(), b.addr()}, EjectAfter: 1})
+	p := newPool(Config{Backends: []string{a.addr(), b.addr()}, EjectAfter: 1})
 
 	cands := p.pick("some-request-hash")
 	if len(cands) != 2 {
@@ -239,7 +211,7 @@ func TestPoolPickSkipsUnrouteable(t *testing.T) {
 func TestPoolBoundedLoadDemotesHotBackend(t *testing.T) {
 	a := newReadyBackend(t)
 	b := newReadyBackend(t)
-	p := NewPool(PoolConfig{Backends: []string{a.addr(), b.addr()}, LoadFactor: 1.25})
+	p := newPool(Config{Backends: []string{a.addr(), b.addr()}, LoadFactor: 1.25})
 
 	cands := p.pick("hot-key")
 	home := cands[0]
@@ -268,50 +240,136 @@ func names(bs []*backend) []string {
 	return out
 }
 
-// TestBreakerStateMachine pins the circuit breaker's closed → open →
-// half-open → closed cycle and the doubling cooldown.
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(1000, 0)
-	br := newBreaker(3, 100*time.Millisecond)
+// healthStep is one scripted input to a backend's health state machine.
+type healthStep int
 
-	for i := 0; i < 3; i++ {
-		if !br.allow(now) {
-			t.Fatalf("breaker open after only %d failures", i)
-		}
-		br.failure(now)
+const (
+	stepProbeUp       healthStep = iota // /readyz serving, one probe round
+	stepProbeDraining                   // /readyz draining, one probe round
+	stepProbeDown                       // connection dropped, one probe round
+	stepConnErr                         // a forward whose connection is dropped
+	step5xx                             // a forward answered 503
+	step429                             // a forward answered 429
+	step404                             // a forward answered 404
+	step200                             // a forward answered 200
+	stepBackoffPasses                   // the backend's next probe falls due
+)
+
+// TestBackendHealthStateMachine drives one backend through scripted probe
+// verdicts and forward outcomes and checks where the state machine lands:
+// its state, whether it is routed, and the ejection and reinstatement
+// counters. Forwards go straight to attempt, so an ejected backend can also
+// see the late responses of requests it received before ejection.
+func TestBackendHealthStateMachine(t *testing.T) {
+	burst := []healthStep{stepConnErr, stepConnErr, stepConnErr}
+	cases := []struct {
+		name          string
+		steps         []healthStep
+		want          health
+		ejections     uint64
+		reinstatement uint64
+	}{
+		{"5xx burst ejects at EjectAfter", []healthStep{step5xx, step5xx, step5xx}, ejected, 1, 0},
+		{"failures below EjectAfter leave it suspect", []healthStep{step5xx, stepConnErr}, suspect, 0, 0},
+		{"probes and forwards share one count", []healthStep{stepProbeDown, step5xx, stepConnErr}, ejected, 1, 0},
+		{"200 on a suspect backend resets the count",
+			[]healthStep{step5xx, step5xx, step200, step5xx, step5xx}, suspect, 0, 0},
+		{"passing probe resets the count",
+			[]healthStep{stepProbeDown, stepProbeDown, stepProbeUp, stepProbeDown, stepProbeDown}, suspect, 0, 0},
+		{"draining clears the count and never ejects",
+			[]healthStep{stepConnErr, stepConnErr, stepProbeDraining, stepProbeDraining, stepProbeDraining,
+				stepProbeUp, stepConnErr, stepConnErr}, suspect, 0, 0},
+		{"draining is not routed", []healthStep{stepProbeDraining, step200}, draining, 0, 0},
+		{"429 and other 4xx never count",
+			[]healthStep{step429, step429, step429, step404, step404, step404}, healthy, 0, 0},
+		{"a 4xx answer resets the count like a 200",
+			[]healthStep{step5xx, step5xx, step429, step5xx, step5xx}, suspect, 0, 0},
+		{"ejected ignores early probes and late 200s",
+			append(burst, stepProbeUp, step200, step200, step200), ejected, 1, 0},
+		{"failed probe after the backoff keeps it ejected",
+			append(burst, stepBackoffPasses, stepProbeDown), ejected, 1, 0},
+		{"passing probe after the backoff reinstates",
+			append(burst, stepProbeUp, stepBackoffPasses, stepProbeUp), healthy, 1, 1},
+		{"draining probe after the backoff leaves ejection but is not routed",
+			append(burst, stepBackoffPasses, stepProbeDraining), draining, 1, 1},
 	}
-	if br.allow(now) {
-		t.Fatal("breaker closed after reaching the failure threshold")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := newStubBackend(t, `{"hash":"a"}`)
+			gw, _ := newTestGateway(t, Config{Backends: []string{stub.addr()}, EjectAfter: 3})
+			b := gw.pool.lookup(stub.addr())
+			payload := []byte(`{"experiment":"throughput"}`)
+			for _, s := range tc.steps {
+				stub.dead.Store(s == stepProbeDown || s == stepConnErr)
+				stub.draining.Store(s == stepProbeDraining)
+				stub.status.Store(map[healthStep]int32{
+					step5xx: http.StatusServiceUnavailable,
+					step429: http.StatusTooManyRequests,
+					step404: http.StatusNotFound,
+				}[s])
+				switch s {
+				case stepProbeUp, stepProbeDraining, stepProbeDown:
+					gw.pool.ProbeAll()
+				case stepBackoffPasses:
+					b.mu.Lock()
+					b.nextProbe = time.Now()
+					b.mu.Unlock()
+				default:
+					gw.attempt(context.Background(), b, "throughput", payload)
+				}
+			}
+
+			b.mu.Lock()
+			state := b.state
+			b.mu.Unlock()
+			if state != tc.want {
+				t.Errorf("state = %v, want %v", state, tc.want)
+			}
+			routed := tc.want == healthy || tc.want == suspect
+			if got := gw.pool.Healthy() == 1; got != routed {
+				t.Errorf("routeable = %v, want %v", got, routed)
+			}
+			counters := gw.Obs().Snapshot().Counters
+			if got := counters[`gate.ejections{backend=`+stub.addr()+`}`]; got != tc.ejections {
+				t.Errorf("gate.ejections = %v, want %v", got, tc.ejections)
+			}
+			if got := counters[`gate.reinstatements{backend=`+stub.addr()+`}`]; got != tc.reinstatement {
+				t.Errorf("gate.reinstatements = %v, want %v", got, tc.reinstatement)
+			}
+		})
 	}
-	if !br.open(now) {
-		t.Fatal("open() disagrees with allow()")
+}
+
+// TestOnlyFailedProbesAdvanceBackoff checks forwards that fail after their
+// backend was ejected (requests already in flight when it died) leave the
+// reinstatement backoff at ProbeInterval; only a failed probe doubles it.
+func TestOnlyFailedProbesAdvanceBackoff(t *testing.T) {
+	stub := newStubBackend(t, `{"hash":"a"}`)
+	stub.dead.Store(true)
+	gw, _ := newTestGateway(t, Config{
+		Backends:      []string{stub.addr()},
+		EjectAfter:    1,
+		ProbeInterval: 2 * time.Second,
+	})
+	b := gw.pool.lookup(stub.addr())
+	backoff := func() time.Duration {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.backoff
 	}
 
-	// Past the cooldown: half-open admits exactly one trial, and re-arms the
-	// window so a second caller at the same instant is rejected.
-	later := now.Add(150 * time.Millisecond)
-	if !br.allow(later) {
-		t.Fatal("breaker still closed after cooldown elapsed")
+	for i := 0; i < 6; i++ {
+		gw.attempt(context.Background(), b, "throughput", []byte(`{"experiment":"throughput"}`))
 	}
-	if br.allow(later) {
-		t.Fatal("half-open breaker admitted two concurrent trials")
+	if got := backoff(); got != 2*time.Second {
+		t.Fatalf("backoff after 6 failed forwards = %v, want ProbeInterval (2s)", got)
 	}
 
-	// Trial fails: cooldown doubles.
-	br.failure(later)
-	if br.allow(later.Add(150 * time.Millisecond)) {
-		t.Fatal("breaker reopened on the base cooldown; failure should have doubled it")
-	}
-	if !br.allow(later.Add(250 * time.Millisecond)) {
-		t.Fatal("breaker not half-open after the doubled cooldown")
-	}
-
-	// Trial succeeds: closed, ladder reset.
-	br.success()
-	if !br.allow(later.Add(300 * time.Millisecond)) {
-		t.Fatal("breaker not closed after a successful trial")
-	}
-	if br.open(time.Unix(0, 0)) {
-		t.Fatal("closed breaker reports open")
+	b.mu.Lock()
+	b.nextProbe = time.Now()
+	b.mu.Unlock()
+	gw.pool.ProbeAll()
+	if got := backoff(); got != 4*time.Second {
+		t.Fatalf("backoff after a failed probe = %v, want 4s", got)
 	}
 }

@@ -10,10 +10,12 @@
 //     hash to a backend, so repeat requests land where the LRU/disk cache
 //     already holds them. The cluster's aggregate cache behaves like one
 //     big cache.
-//   - Liveness is active, not inferred: the pool probes every backend's
-//     /readyz on a jittered interval, ejects after consecutive failures,
-//     reinstates with exponential backoff, and stops routing to a draining
-//     backend before it starts refusing work.
+//   - Each backend has one health state machine (healthy → suspect →
+//     ejected, plus draining) driven by one consecutive-failure count that
+//     /readyz probes and forwarded requests both feed. EjectAfter failures
+//     in a row eject a backend; only a passing probe, on an exponential
+//     backoff schedule, brings it back; a draining backend stops getting
+//     work before it starts refusing it.
 //   - Forwarding is allowed to be aggressive because execution is
 //     deterministic: /v1/run is idempotent by the serving contract (equal
 //     hashes denote equal bytes), so the gateway may retry a failed attempt

@@ -77,18 +77,18 @@ func New(opts Options) (*slog.Logger, error) {
 	return nil, fmt.Errorf("logging: unknown format %q (have %s, %s)", opts.Format, FormatJSON, FormatText)
 }
 
-// discardHandler reports every level disabled; Handle is unreachable
+// nopHandler reports every level disabled; Handle is unreachable
 // through slog's front door but still a safe no-op.
-type discardHandler struct{}
+type nopHandler struct{}
 
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
+func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d nopHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d nopHandler) WithGroup(string) slog.Handler           { return d }
 
 // discard is the shared no-op logger; a single instance so From never
 // allocates.
-var discard = slog.New(discardHandler{})
+var discard = slog.New(nopHandler{})
 
 // Discard returns the process-wide no-op logger (never nil).
 func Discard() *slog.Logger { return discard }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 
@@ -192,8 +193,18 @@ func newFlight() *flight {
 	return &flight{calls: make(map[string]*flightCall)}
 }
 
+// panicError is a panic recovered from a flight's fn: the leader and every
+// follower receive it in place of a result.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("server: execution panicked: %v", e.value) }
+
 // do runs fn once per in-flight hash. shared reports whether this caller
-// piggybacked on another's execution.
+// piggybacked on another's execution. If fn panics, every caller gets a
+// *panicError and the hash is free to run again.
 func (f *flight) do(hash string, fn func() ([]byte, error)) (body []byte, shared bool, err error) {
 	f.mu.Lock()
 	if call, ok := f.calls[hash]; ok {
@@ -205,10 +216,16 @@ func (f *flight) do(hash string, fn func() ([]byte, error)) (body []byte, shared
 	f.calls[hash] = call
 	f.mu.Unlock()
 
+	defer func() {
+		if r := recover(); r != nil {
+			call.body, call.err = nil, &panicError{value: r, stack: debug.Stack()}
+		}
+		f.mu.Lock()
+		delete(f.calls, hash)
+		f.mu.Unlock()
+		close(call.done)
+		body, err = call.body, call.err
+	}()
 	call.body, call.err = fn()
-	f.mu.Lock()
-	delete(f.calls, hash)
-	f.mu.Unlock()
-	close(call.done)
 	return call.body, false, call.err
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,5 +135,65 @@ func TestFlightCoalesces(t *testing.T) {
 	}
 	if sharedCount.Load() != followers {
 		t.Fatalf("shared reported by %d callers, want %d", sharedCount.Load(), followers)
+	}
+}
+
+// TestFlightPanicReleasesFollowers checks a panicking leader neither strands
+// its followers nor leaves the hash stuck: the leader and the follower both
+// get a *panicError, and a later do on the same hash runs fn again.
+func TestFlightPanicReleasesFollowers(t *testing.T) {
+	f := newFlight()
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	type outcome struct {
+		shared bool
+		err    error
+	}
+	call := func(fn func() ([]byte, error)) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					out <- outcome{err: fmt.Errorf("do panicked: %v", r)}
+				}
+			}()
+			_, shared, err := f.do("h", fn)
+			out <- outcome{shared, err}
+		}()
+		return out
+	}
+	wait := func(who string, out <-chan outcome) outcome {
+		t.Helper()
+		select {
+		case o := <-out:
+			return o
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked 5s after the leader panicked", who)
+			return outcome{}
+		}
+	}
+
+	leader := call(func() ([]byte, error) {
+		close(leaderIn)
+		<-release
+		panic("boom")
+	})
+	<-leaderIn
+	follower := call(func() ([]byte, error) { return nil, errors.New("follower ran fn; it should have joined the leader") })
+	time.Sleep(20 * time.Millisecond) // let the follower block on the leader's call
+	close(release)
+
+	var pe *panicError
+	if o := wait("leader", leader); o.shared || !errors.As(o.err, &pe) || pe.value != "boom" {
+		t.Errorf("leader got shared=%v err=%v, want its own *panicError(boom)", o.shared, o.err)
+	}
+	if o := wait("follower", follower); !o.shared || !errors.As(o.err, &pe) {
+		t.Fatalf("follower got shared=%v err=%v, want the leader's *panicError", o.shared, o.err)
+	}
+
+	ran := false
+	later := call(func() ([]byte, error) { ran = true; return []byte("R"), nil })
+	if o := wait("later caller", later); o.shared || o.err != nil || !ran {
+		t.Fatalf("later do: shared=%v err=%v ran=%v; want a fresh execution of fn", o.shared, o.err, ran)
 	}
 }

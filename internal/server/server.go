@@ -393,6 +393,13 @@ func (s *Server) result(ctx context.Context, norm Request, hash string) ([]byte,
 		}
 	}
 	if err != nil {
+		var pe *panicError
+		if !shared && errors.As(err, &pe) {
+			s.reg.Counter("server.panics").Inc()
+			log.LogAttrs(ctx, slog.LevelError, "execution panicked",
+				slog.String("hash", hash), slog.String("panic", fmt.Sprint(pe.value)),
+				slog.String("stack", string(pe.stack)))
+		}
 		return nil, status, err
 	}
 	return body, status, nil

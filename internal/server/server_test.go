@@ -382,6 +382,30 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestPanickingRunServed500 checks a panic in execution reaches the client
+// as a JSON 500, is counted once, and leaves the server serving.
+func TestPanickingRunServed500(t *testing.T) {
+	var runs atomic.Int64
+	srv, reg := stubServer(t, Config{}, func(ctx context.Context, req Request) ([]byte, error) {
+		if runs.Add(1) == 1 {
+			panic("boom")
+		}
+		return []byte(`{"stub":true}`), nil
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	status, body, _ := post(t, ts.URL, Request{Experiment: "table2"})
+	if status != http.StatusInternalServerError || !bytes.Contains(body, []byte("panicked: boom")) {
+		t.Fatalf("panicking run got %d %s, want a 500 naming the panic", status, body)
+	}
+	if got := reg.Counter("server.panics").Value(); got != 1 {
+		t.Fatalf("server.panics = %d, want 1", got)
+	}
+	if status, _, _ := post(t, ts.URL, Request{Experiment: "table2"}); status != http.StatusOK {
+		t.Fatalf("run after the panic got %d, want 200", status)
+	}
+}
+
 // TestBadRequests checks the 4xx surface.
 func TestBadRequests(t *testing.T) {
 	srv, _ := stubServer(t, Config{}, func(ctx context.Context, req Request) ([]byte, error) {
