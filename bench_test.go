@@ -732,12 +732,10 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotFork prices the snapshot layer's fork-per-cell path
-// against the reboot-per-cell baseline it replaces: restoring a warm kernel
-// checkpoint into a pooled machine (the steady-state path behind
-// experiments' boot memo) versus re-booting the kernel on the same machine.
-// The Fork/Reboot ratio is the per-cell saving the EXPERIMENTS.md snapshot
-// table aggregates over whole sweeps.
+// BenchmarkSnapshotFork prices the snapshot library's fork path against a
+// reboot: restoring a warm kernel checkpoint into a pooled machine versus
+// re-booting the kernel on the same machine. The Fork/Reboot ratio is the
+// most a fork can save per boot, before the capture it needs.
 func BenchmarkSnapshotFork(b *testing.B) {
 	model, cfg := cpu.I7_7700(), kernel.Config{KASLR: true}
 	b.Run("Fork", func(b *testing.B) {

@@ -3,8 +3,11 @@
 // full evaluation lives in cmd/tetbench. With -all, every attack family runs
 // as one scheduler job on its own machine (seeded per attack name), so the
 // combined output is byte-identical at any -parallel setting. With -remote,
-// the request is served by a whisperd daemon instead of executed locally —
-// same bytes, possibly from the daemon's content-addressed cache.
+// the request is served by a whisperd daemon instead of executed locally,
+// possibly from the daemon's content-addressed cache. The daemon runs every
+// attack as its block of the -all suite, so a served -all prints the local
+// -all bytes after the "machine:" line, while a served single attack differs
+// from a local one, which boots on -seed itself.
 package main
 
 import (

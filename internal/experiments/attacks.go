@@ -44,7 +44,7 @@ func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, roo
 	}
 	runners := map[string]func(ctx context.Context, seed int64) (string, error){
 		"cc": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot("attacks", model, cfg, seed)
+			k, err := boot(model, cfg, seed)
 			if err != nil {
 				return "", err
 			}
@@ -80,7 +80,7 @@ func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, roo
 			return b.String(), nil
 		},
 		"zbl": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot("attacks", model, cfg, seed)
+			k, err := boot(model, cfg, seed)
 			if err != nil {
 				return "", err
 			}
@@ -99,7 +99,7 @@ func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, roo
 			return b.String(), nil
 		},
 		"rsb": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot("attacks", model, cfg, seed)
+			k, err := boot(model, cfg, seed)
 			if err != nil {
 				return "", err
 			}
@@ -123,7 +123,7 @@ func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, roo
 			return b.String(), nil
 		},
 		"v1": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot("attacks", model, cfg, seed)
+			k, err := boot(model, cfg, seed)
 			if err != nil {
 				return "", err
 			}
@@ -146,7 +146,7 @@ func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, roo
 			return b.String(), nil
 		},
 		"kaslr": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot("attacks", model, cfg, seed)
+			k, err := boot(model, cfg, seed)
 			if err != nil {
 				return "", err
 			}
@@ -167,7 +167,7 @@ func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, roo
 				res.Base, res.Slot, res.Seconds, verdict), nil
 		},
 		"smt": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot("attacks", model, cfg, seed)
+			k, err := boot(model, cfg, seed)
 			if err != nil {
 				return "", err
 			}

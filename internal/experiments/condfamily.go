@@ -86,7 +86,7 @@ func condRow(c isa.Cond, seed int64) (CondRow, error) {
 	if !ok {
 		return CondRow{}, fmt.Errorf("condfamily: no operands for cond %d", c)
 	}
-	k, err := boot("condfamily", cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
+	k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
 	if err != nil {
 		return CondRow{}, err
 	}

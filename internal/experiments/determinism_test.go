@@ -98,11 +98,11 @@ func TestSeedChangesMeasurementsNotMatrix(t *testing.T) {
 
 	// The seed must reach machine boot: two seeds randomise KASLR to
 	// different bases (the quantity every KASLR artefact hides and recovers).
-	kb, err := boot("determinism", cpu.I9_10980XE(), kernel.Config{KASLR: true}, DefaultSeed)
+	kb, err := boot(cpu.I9_10980XE(), kernel.Config{KASLR: true}, DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka, err := boot("determinism", cpu.I9_10980XE(), kernel.Config{KASLR: true}, altSeed)
+	ka, err := boot(cpu.I9_10980XE(), kernel.Config{KASLR: true}, altSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

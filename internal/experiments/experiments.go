@@ -10,9 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
-	"sync/atomic"
 
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
@@ -67,71 +65,25 @@ var machinePool = cpu.NewPool()
 // publishes them on /metrics, making cross-request machine reuse observable.
 func MachinePoolStats() cpu.PoolStats { return machinePool.Stats() }
 
-// snapMemo caches one warm-state checkpoint per distinct boot tuple
-// (model, kernel config, seed). Sweep cells, parallel workers, and repeated
-// serving requests that boot the same tuple fork from the shared immutable
-// snapshot instead of re-simulating the boot; the fork is bit-identical to
-// the reboot (internal/snapshot's tests and FuzzSnapshotRestore pin it), so
-// results are independent of hit/miss history and of which worker captured.
-var snapMemo = snapshot.NewMemo(0)
-
-// snapshotForking gates fork-per-cell; on by default, disabled with
-// SetSnapshotForking(false) or WHISPER_SNAPSHOTS=0/off in the environment.
-var snapshotForking atomic.Bool
-
-func init() {
-	v := strings.ToLower(os.Getenv("WHISPER_SNAPSHOTS"))
-	snapshotForking.Store(v != "0" && v != "off" && v != "false")
+// SnapshotMemoStats reports sweep boots in the shape of the warm-state
+// memo's old statistics: every boot is a miss, and hits and resident bytes
+// stay 0.
+//
+// Deprecated: sweep cells no longer fork from a warm-state memo; every cell
+// boots (MachinePoolStats counts the boots and their machine reuse). This
+// remains only for readers of the old counters.
+func SnapshotMemoStats() snapshot.Stats {
+	return snapshot.Stats{Misses: machinePool.Stats().Gets}
 }
 
-// SetSnapshotForking toggles warm-state snapshot reuse across boots. Both
-// settings produce byte-identical experiment output (the determinism tests
-// compare them); off exists as a bisection aid and for benchmarking the
-// reboot-per-cell baseline.
-func SetSnapshotForking(on bool) { snapshotForking.Store(on) }
-
-// SnapshotForking reports whether warm-state snapshot reuse is enabled.
-func SnapshotForking() bool { return snapshotForking.Load() }
-
-// SnapshotMemoStats reports the warm-state memo's hit/miss/eviction traffic
-// and resident footprint. whisperd publishes them on /metrics alongside the
-// machine pool gauges.
-func SnapshotMemoStats() snapshot.Stats { return snapMemo.Stats() }
-
-// boot builds a machine+kernel pair for one sweep cell, forking from the
-// warm-state memo when a snapshot of this exact boot tuple exists and
-// booting (then capturing for the next caller) otherwise. family labels the
-// experiment family for the memo's pinning, keeping each family's hot
-// snapshot resident across unrelated sweeps.
-func boot(family string, model cpu.Model, cfg kernel.Config, seed int64) (*kernel.Kernel, error) {
-	if !snapshotForking.Load() {
-		m, err := machinePool.Get(model, seed)
-		if err != nil {
-			return nil, err
-		}
-		return kernel.Boot(m, cfg)
-	}
-	key := snapshot.Key{Model: model, Kernel: cfg, Seed: seed}
-	s, capture := snapMemo.Get(key, family)
-	if s != nil {
-		return s.ForkKernel(machinePool)
-	}
+// boot builds a machine+kernel pair for one sweep cell: a pooled machine
+// Reset to the cell's seed, then a fresh kernel boot on it.
+func boot(model cpu.Model, cfg kernel.Config, seed int64) (*kernel.Kernel, error) {
 	m, err := machinePool.Get(model, seed)
 	if err != nil {
 		return nil, err
 	}
-	k, err := kernel.Boot(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Capture only boot tuples the memo has seen miss before: one-shot cells
-	// would pay the checkpoint without ever forking from it.
-	if capture {
-		if s, err := snapshot.CaptureKernel(k); err == nil {
-			snapMemo.Put(key, s, family)
-		}
-	}
-	return k, nil
+	return kernel.Boot(m, cfg)
 }
 
 // recycle returns a booted kernel's machine to the pool. Callers must have

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"whisper/internal/cpu"
+	"whisper/internal/kernel"
 )
 
 func TestTable1Renders(t *testing.T) {
@@ -11,6 +14,23 @@ func TestTable1Renders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 missing %q", want)
 		}
+	}
+}
+
+// TestSnapshotMemoStatsCountsBoots pins the deprecated shim: every sweep
+// boot is one miss, and hits and resident bytes stay 0.
+func TestSnapshotMemoStatsCountsBoots(t *testing.T) {
+	before := SnapshotMemoStats()
+	for i := 0; i < 2; i++ {
+		k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycle(k)
+	}
+	after := SnapshotMemoStats()
+	if got := after.Misses - before.Misses; got != 2 || after.Hits != 0 || after.ResidentBytes != 0 {
+		t.Fatalf("2 boots read as %d misses, stats %+v; want 2 misses, 0 hits, 0 bytes", got, after)
 	}
 }
 

@@ -40,7 +40,7 @@ func Fig1b(ex Exec, batches int, seed int64) (*Fig1bResult, error) {
 		jobs[batch] = sched.Job[fig1bBatch]{
 			Key: fmt.Sprintf("batch/%d", batch),
 			Run: func(_ context.Context, bseed int64) (fig1bBatch, error) {
-				k, err := boot("figures", cpu.I7_7700(), kernel.Config{KASLR: true}, bseed)
+				k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, bseed)
 				if err != nil {
 					return fig1bBatch{}, err
 				}
@@ -144,7 +144,7 @@ func Fig4(ex Exec, seed int64) ([]Fig4Point, error) {
 
 // fig4Point measures one fence-distance configuration on a fresh machine.
 func fig4Point(nops int, seed int64) (Fig4Point, error) {
-	k, err := boot("figures", cpu.I7_6700(), kernel.Config{KASLR: true}, seed)
+	k, err := boot(cpu.I7_6700(), kernel.Config{KASLR: true}, seed)
 	if err != nil {
 		return Fig4Point{}, err
 	}

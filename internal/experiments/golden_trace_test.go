@@ -34,10 +34,11 @@ func clearTrace(b *strings.Builder, m *cpu.Machine) {
 func goldenFig1bCell() (string, error) {
 	var b strings.Builder
 	seed := sched.DeriveSeed(DefaultSeed, "batch/0")
-	k, err := boot("golden", cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
+	k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
 	if err != nil {
 		return "", err
 	}
+	defer recycle(k)
 	m := k.Machine()
 	k.WriteSecret([]byte{'S'})
 	pr, err := core.NewProber(m, core.SuppressTSX, true)
@@ -78,10 +79,11 @@ func goldenFig1bCell() (string, error) {
 func goldenKASLRProbes() (string, error) {
 	var b strings.Builder
 	seed := sched.DeriveSeed(DefaultSeed, "kaslr/golden")
-	k, err := boot("golden", cpu.I9_10980XE(), kernel.Config{KASLR: true}, seed)
+	k, err := boot(cpu.I9_10980XE(), kernel.Config{KASLR: true}, seed)
 	if err != nil {
 		return "", err
 	}
+	defer recycle(k)
 	m := k.Machine()
 	pr, err := core.NewProber(m, core.SuppressSignal, true)
 	if err != nil {
@@ -127,58 +129,37 @@ func writePMULine(b *strings.Builder, m *cpu.Machine) {
 	}
 }
 
+// TestGoldenTraces runs each golden cell twice. Each cell recycles its
+// machine, so the second run boots on a pooled machine Reset to the cell's
+// seed, and both runs must equal the seed capture: which machine a cell gets
+// is unobservable in its results.
 func TestGoldenTraces(t *testing.T) {
-	fig1b, err := goldenFig1bCell()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kaslr, err := goldenKASLRProbes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if os.Getenv("GOLDEN_TRACE_CAPTURE") != "" {
-		t.Logf("fig1b golden:\n%s", fig1b)
-		t.Logf("kaslr golden:\n%s", kaslr)
-		return
-	}
-	if fig1b != goldenFig1b {
-		t.Errorf("Fig1b cell trace diverged from the seed capture:\n--- got ---\n%s--- want ---\n%s", fig1b, goldenFig1b)
-	}
-	if kaslr != goldenKASLR {
-		t.Errorf("KASLR probe trace diverged from the seed capture:\n--- got ---\n%s--- want ---\n%s", kaslr, goldenKASLR)
-	}
-}
-
-// TestGoldenTracesUnderSnapshotFork pins the same cycle-exact traces —
-// warmup-end-cycle included — when the cell's machine comes from a snapshot
-// fork instead of a boot. The forked-enabled passes walk the memo's whole
-// state machine (first miss unseen, second miss capturing, third forking,
-// unless earlier tests advanced it already); the reboot-per-cell pass with
-// forking disabled must match too. Every pass must equal the seed capture,
-// which is what makes memo hit/miss history unobservable in results.
-func TestGoldenTracesUnderSnapshotFork(t *testing.T) {
-	defer SetSnapshotForking(SnapshotForking())
-	for pass, on := range []bool{true, true, true, false} {
-		SetSnapshotForking(on)
-		fig1b, err := goldenFig1bCell()
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		cell func() (string, error)
+		want string
+	}{
+		{"Fig1b cell", goldenFig1bCell, goldenFig1b},
+		{"KASLR probe", goldenKASLRProbes, goldenKASLR},
+	} {
+		for run := 0; run < 2; run++ {
+			reuses := MachinePoolStats().Reuses
+			got, err := c.cell()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if os.Getenv("GOLDEN_TRACE_CAPTURE") != "" {
+				t.Logf("%s golden:\n%s", c.name, got)
+				break
+			}
+			if got != c.want {
+				t.Errorf("%s trace (run %d) diverged from the seed capture:\n--- got ---\n%s--- want ---\n%s",
+					c.name, run, got, c.want)
+			}
+			if run == 1 && MachinePoolStats().Reuses == reuses {
+				t.Errorf("%s run 1 booted a fresh machine, want a recycled one", c.name)
+			}
 		}
-		if fig1b != goldenFig1b {
-			t.Errorf("pass %d (forking=%v): Fig1b trace diverged:\n--- got ---\n%s--- want ---\n%s",
-				pass, on, fig1b, goldenFig1b)
-		}
-		kaslr, err := goldenKASLRProbes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kaslr != goldenKASLR {
-			t.Errorf("pass %d (forking=%v): KASLR trace diverged:\n--- got ---\n%s--- want ---\n%s",
-				pass, on, kaslr, goldenKASLR)
-		}
-	}
-	if st := SnapshotMemoStats(); st.Hits == 0 {
-		t.Error("snapshot memo never hit across the forked passes")
 	}
 }
 

@@ -29,7 +29,7 @@ type KASLRRow struct {
 // are independent scheduler cells collected in matrix order.
 func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
 	runTET := func(name string, model cpu.Model, cfg kernel.Config, paperSec float64, note string) (KASLRRow, error) {
-		k, err := boot("kaslr", model, cfg, seed)
+		k, err := boot(model, cfg, seed)
 		if err != nil {
 			return KASLRRow{}, err
 		}
@@ -56,7 +56,7 @@ func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
 	// §6.2 software mitigation: FGKASLR. The base is still found; the
 	// code-reuse step (deriving a function from the base) breaks.
 	runFGKASLR := func() (KASLRRow, error) {
-		k, err := boot("kaslr", cpu.I9_10980XE(), kernel.Config{KASLR: true, FGKASLR: true}, seed)
+		k, err := boot(cpu.I9_10980XE(), kernel.Config{KASLR: true, FGKASLR: true}, seed)
 		if err != nil {
 			return KASLRRow{}, err
 		}
@@ -90,7 +90,7 @@ func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
 
 	// Prefetch-timing baseline (the family FLARE was designed against).
 	runPrefetch := func(name string, cfg kernel.Config, wantDefeated bool) (KASLRRow, error) {
-		k, err := boot("kaslr", cpu.I9_10980XE(), cfg, seed)
+		k, err := boot(cpu.I9_10980XE(), cfg, seed)
 		if err != nil {
 			return KASLRRow{}, err
 		}

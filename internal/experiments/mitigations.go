@@ -36,7 +36,7 @@ var mitSecret = []byte("MITI")
 // order.
 func Mitigations(ex Exec, seed int64) ([]MitigationRow, error) {
 	runMD := func(defName string, model cpu.Model, cfg kernel.Config, note string) (MitigationRow, error) {
-		k, err := boot("mitigations", model, cfg, seed)
+		k, err := boot(model, cfg, seed)
 		if err != nil {
 			return MitigationRow{}, err
 		}
@@ -58,7 +58,7 @@ func Mitigations(ex Exec, seed int64) ([]MitigationRow, error) {
 		}, nil
 	}
 	runFRMD := func(defName string, model cpu.Model, cfg kernel.Config, note string) (MitigationRow, error) {
-		k, err := boot("mitigations", model, cfg, seed)
+		k, err := boot(model, cfg, seed)
 		if err != nil {
 			return MitigationRow{}, err
 		}
@@ -79,7 +79,7 @@ func Mitigations(ex Exec, seed int64) ([]MitigationRow, error) {
 		}, nil
 	}
 	runZBL := func(defName string, cfg kernel.Config, note string) (MitigationRow, error) {
-		k, err := boot("mitigations", cpu.I7_7700(), cfg, seed)
+		k, err := boot(cpu.I7_7700(), cfg, seed)
 		if err != nil {
 			return MitigationRow{}, err
 		}
@@ -196,7 +196,7 @@ func Stealth(ex Exec, seed int64) ([]StealthRow, error) {
 	jobs := []sched.Job[StealthRow]{
 		// TET-MD under the detector.
 		{Key: "tet-md", Run: func(context.Context, int64) (StealthRow, error) {
-			k, err := boot("mitigations", cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
 			if err != nil {
 				return StealthRow{}, err
 			}
@@ -222,7 +222,7 @@ func Stealth(ex Exec, seed int64) ([]StealthRow, error) {
 		}},
 		// Meltdown-F+R under the detector.
 		{Key: "meltdown-fr", Run: func(context.Context, int64) (StealthRow, error) {
-			k, err := boot("mitigations", cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
 			if err != nil {
 				return StealthRow{}, err
 			}

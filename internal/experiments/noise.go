@@ -58,7 +58,7 @@ func noisePoint(sigma float64, batches int, mean bool, seed int64) (NoisePoint, 
 	secret := []byte("NZ")
 	model := cpu.I7_7700()
 	model.Pipe.NoiseSigma = sigma
-	k, err := boot("noise", model, kernel.Config{KASLR: true}, seed)
+	k, err := boot(model, kernel.Config{KASLR: true}, seed)
 	if err != nil {
 		return NoisePoint{}, err
 	}

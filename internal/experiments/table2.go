@@ -75,7 +75,7 @@ func table2Row(model cpu.Model, params Table2Params, seed int64) (Table2Row, err
 	// Fresh machine per attack family so one attack's microarchitectural
 	// residue cannot help another.
 	{
-		k, err := boot("table2", model, kernel.Config{KASLR: true}, seed)
+		k, err := boot(model, kernel.Config{KASLR: true}, seed)
 		if err != nil {
 			return fail(err)
 		}
@@ -93,7 +93,7 @@ func table2Row(model cpu.Model, params Table2Params, seed int64) (Table2Row, err
 		row.CC = row.ErrCC <= successThreshold
 	}
 	{
-		k, err := boot("table2", model, kernel.Config{KASLR: true}, seed+1)
+		k, err := boot(model, kernel.Config{KASLR: true}, seed+1)
 		if err != nil {
 			return fail(err)
 		}
@@ -111,7 +111,7 @@ func table2Row(model cpu.Model, params Table2Params, seed int64) (Table2Row, err
 		row.MD = row.ErrMD <= successThreshold
 	}
 	{
-		k, err := boot("table2", model, kernel.Config{KASLR: true}, seed+2)
+		k, err := boot(model, kernel.Config{KASLR: true}, seed+2)
 		if err != nil {
 			return fail(err)
 		}
@@ -130,7 +130,7 @@ func table2Row(model cpu.Model, params Table2Params, seed int64) (Table2Row, err
 		row.ZBL = row.ErrZBL <= successThreshold
 	}
 	{
-		k, err := boot("table2", model, kernel.Config{KASLR: true}, seed+3)
+		k, err := boot(model, kernel.Config{KASLR: true}, seed+3)
 		if err != nil {
 			return fail(err)
 		}
@@ -152,7 +152,7 @@ func table2Row(model cpu.Model, params Table2Params, seed int64) (Table2Row, err
 		row.RSB = row.ErrRSB <= successThreshold
 	}
 	{
-		k, err := boot("table2", model, kernel.Config{KASLR: true}, seed+4)
+		k, err := boot(model, kernel.Config{KASLR: true}, seed+4)
 		if err != nil {
 			return fail(err)
 		}

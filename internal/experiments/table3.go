@@ -123,7 +123,7 @@ func Table3(ex Exec, seed int64) ([]Table3Scene, error) {
 // sceneCC measures the covert-channel probe with the transient Jcc not
 // triggered (A) vs triggered (B).
 func sceneCC(model cpu.Model, seed int64, keys []KeyEvent) (Table3Scene, error) {
-	k, err := boot("table3", model, kernel.Config{KASLR: true}, seed)
+	k, err := boot(model, kernel.Config{KASLR: true}, seed)
 	if err != nil {
 		return Table3Scene{}, err
 	}
@@ -168,7 +168,7 @@ func sceneCC(model cpu.Model, seed int64, keys []KeyEvent) (Table3Scene, error) 
 // test value on the i7-7700.
 func sceneMD(seed int64) (Table3Scene, error) {
 	model := cpu.I7_7700()
-	k, err := boot("table3", model, kernel.Config{KASLR: true}, seed)
+	k, err := boot(model, kernel.Config{KASLR: true}, seed)
 	if err != nil {
 		return Table3Scene{}, err
 	}
@@ -232,7 +232,7 @@ func sceneMD(seed int64) (Table3Scene, error) {
 // eviction and a warm probe (the attack's steady state).
 func sceneKASLR(seed int64) (Table3Scene, error) {
 	model := cpu.I9_10980XE()
-	k, err := boot("table3", model, kernel.Config{KASLR: true}, seed)
+	k, err := boot(model, kernel.Config{KASLR: true}, seed)
 	if err != nil {
 		return Table3Scene{}, err
 	}

@@ -75,7 +75,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 	jobs := []sched.Job[ThroughputRow]{
 		// TET-CC on i7-7700 (paper: 500 B/s, <5 % error).
 		{Key: "tet-cc", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot("throughput", cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
@@ -93,7 +93,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 		}},
 		// TET-MD on i7-7700 (paper: 50 B/s, <3 % error).
 		{Key: "tet-md", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot("throughput", cpu.I7_7700(), kernel.Config{KASLR: true}, seed+1)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+1)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
@@ -112,7 +112,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 		}},
 		// TET-ZBL on i7-7700 (paper reports success but no rate).
 		{Key: "tet-zbl", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot("throughput", cpu.I7_7700(), kernel.Config{KASLR: true}, seed+2)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+2)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
@@ -131,7 +131,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 		}},
 		// TET-RSB on i9-13900K (paper: 21.5 KB/s, <0.1 % error).
 		{Key: "tet-rsb", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot("throughput", cpu.I9_13900K(), kernel.Config{KASLR: true}, seed+3)
+			k, err := boot(cpu.I9_13900K(), kernel.Config{KASLR: true}, seed+3)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
@@ -153,7 +153,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 		}},
 		// SMT channel, both operating points, on i7-7700.
 		{Key: "smt-reliable", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot("throughput", cpu.I7_7700(), kernel.Config{KASLR: true}, seed+4)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+4)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
@@ -170,7 +170,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			return bitRow("SMT-CC (reliable)", k.Machine().Model.Name, payload, res.Data, res, 1, 0.05), nil
 		}},
 		{Key: "smt-secsmt", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot("throughput", cpu.I7_7700(), kernel.Config{KASLR: true}, seed+5)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+5)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
@@ -188,7 +188,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 		}},
 		// Baselines for comparison.
 		{Key: "baseline-fr", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot("throughput", cpu.I7_7700(), kernel.Config{KASLR: true}, seed+6)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+6)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
@@ -205,7 +205,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			return byteRow("Flush+Reload CC (baseline)", k.Machine().Model.Name, payload, res.Data, res, 0, 0), nil
 		}},
 		{Key: "baseline-md-fr", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot("throughput", cpu.I7_7700(), kernel.Config{KASLR: true}, seed+7)
+			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+7)
 			if err != nil {
 				return ThroughputRow{}, err
 			}

@@ -85,12 +85,6 @@ type HierImage struct {
 	lat              Latencies
 }
 
-// Lines returns the total number of valid lines across all levels (resident
-// accounting for snapshots).
-func (img *HierImage) Lines() int {
-	return len(img.l1d.idx) + len(img.l1i.idx) + len(img.l2.idx) + len(img.l3.idx)
-}
-
 // Image captures every level's valid lines.
 func (h *Hierarchy) Image() *HierImage {
 	return &HierImage{

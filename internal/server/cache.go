@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,10 +78,14 @@ func (c *cache) get(hash string) (body []byte, tier string, ok bool) {
 	}
 	c.mu.Unlock()
 	if c.disk != nil {
-		if body, ok := c.disk.get(hash); ok {
+		body, err := c.disk.get(hash)
+		switch {
+		case err == nil:
 			c.reg.Counter("server.cache.hits", obs.L("tier", tierDisk)).Inc()
 			c.putMemory(hash, body)
 			return body, tierDisk, true
+		case errors.Is(err, errCorrupt):
+			c.reg.Counter("server.cache.corrupt").Inc()
 		}
 	}
 	c.reg.Counter("server.cache.misses").Inc()
@@ -122,9 +130,10 @@ func (c *cache) putMemory(hash string, body []byte) {
 }
 
 // diskStore persists results as <dir>/<hh>/<hash>.json, sharded by the
-// first hash byte to keep directories small. Writes go through a temp file
-// and rename, so a crashed write never leaves a truncated entry a later get
-// could serve.
+// first hash byte to keep directories small. Each entry is a checksum line,
+// "sha256:" and the hex SHA-256 of the body, followed by the body. Writes go
+// through a temp file and rename, so a crashed write never leaves a partial
+// entry; the checksum catches what else can damage a file on disk.
 type diskStore struct {
 	dir string
 }
@@ -145,12 +154,31 @@ func (d *diskStore) path(hash string) string {
 	return filepath.Join(d.dir, hash[:2], hash+".json")
 }
 
-func (d *diskStore) get(hash string) ([]byte, bool) {
-	body, err := os.ReadFile(d.path(hash))
+// errCorrupt reports a disk entry whose body does not match its checksum:
+// truncated, bit-flipped, foreign, or written before entries carried one.
+var errCorrupt = errors.New("server: corrupt cache entry")
+
+// checksumLine is the first line of a disk entry holding a body with the
+// given SHA-256.
+func checksumLine(sum [sha256.Size]byte) string {
+	return "sha256:" + hex.EncodeToString(sum[:])
+}
+
+// get returns the body stored for hash. A corrupt entry is renamed aside to
+// <path>.corrupt, so it is reported once and the next put replaces it.
+func (d *diskStore) get(hash string) ([]byte, error) {
+	p := d.path(hash)
+	raw, err := os.ReadFile(p)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	return body, true
+	line, body, ok := bytes.Cut(raw, []byte("\n"))
+	if !ok || string(line) != checksumLine(sha256.Sum256(body)) {
+		// If the rename fails, the entry stays until the next put replaces it.
+		_ = os.Rename(p, p+".corrupt")
+		return nil, errCorrupt
+	}
+	return body, nil
 }
 
 func (d *diskStore) put(hash string, body []byte) error {
@@ -162,7 +190,8 @@ func (d *diskStore) put(hash string, body []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(body); err != nil {
+	entry := append([]byte(checksumLine(sha256.Sum256(body))+"\n"), body...)
+	if _, err := tmp.Write(entry); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,6 +71,65 @@ func TestCacheDiskSurvivesRestart(t *testing.T) {
 	}
 	if reg.Counter("server.cache.hits", obs.L("tier", "memory")).Value() != 1 {
 		t.Fatal("promoted entry not served from the memory tier")
+	}
+}
+
+// TestCacheDiskRejectsDamagedEntries checks a disk entry whose bytes do not
+// match its checksum is never served: a bit-flipped entry, a truncated one
+// and a bare body as older builds wrote it each read as a miss, are counted
+// in server.cache.corrupt, and are moved aside so a fresh put serves again.
+func TestCacheDiskRejectsDamagedEntries(t *testing.T) {
+	body := []byte(`{"hash":"h1","rendered":"Table 2"}` + "\n")
+	for _, tc := range []struct {
+		name   string
+		damage func(entry []byte) []byte
+	}{
+		{"bit-flipped", func(e []byte) []byte { e[len(e)-3] ^= 0x04; return e }},
+		{"truncated", func(e []byte) []byte { return e[:len(e)-5] }},
+		{"no checksum", func([]byte) []byte { return body }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c1, err := newCache(4, dir, obs.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c1.put("aa11", body)
+			path := c1.disk.path("aa11")
+			entry, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(entry), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			reg := obs.NewRegistry()
+			c2, err := newCache(4, dir, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, tier, ok := c2.get("aa11"); ok {
+				t.Fatalf("damaged entry served from %s: %q", tier, got)
+			}
+			if got := reg.Counter("server.cache.corrupt").Value(); got != 1 {
+				t.Fatalf("server.cache.corrupt = %d, want 1", got)
+			}
+			if got := reg.Counter("server.cache.misses").Value(); got != 1 {
+				t.Fatalf("server.cache.misses = %d, want 1", got)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Fatalf("damaged entry not moved aside: %v", err)
+			}
+			c2.put("aa11", body)
+			c3, err := newCache(4, dir, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, tier, ok := c3.get("aa11"); !ok || tier != tierDisk || !bytes.Equal(got, body) {
+				t.Fatalf("rewritten entry: ok=%v tier=%q body=%q", ok, tier, got)
+			}
+		})
 	}
 }
 

@@ -252,6 +252,11 @@ func (s *Server) Draining() bool {
 // began; the handler maps it to 503.
 var errDraining = errors.New("server: draining")
 
+// errAbandoned wraps a coalescing leader's own context error from the
+// admission queue: its client gave up before the execution started. It is
+// the leader's failure alone, so followers retry rather than share it.
+var errAbandoned = errors.New("server: caller gave up while queued")
+
 // beginExec atomically checks the drain flag and registers an execution, so
 // Shutdown's Wait provably covers every execution that was admitted: an
 // execution either registered before draining was set (and Wait blocks on
@@ -350,13 +355,16 @@ func (s *Server) result(ctx context.Context, norm Request, hash string) ([]byte,
 		}
 		return body, cacheHit, nil
 	}
-	body, shared, err := s.fl.do(hash, func() ([]byte, error) {
+	lead := func() ([]byte, error) {
 		// The leader queues on the caller's context (an abandoning client
 		// frees its queue spot) but executes on the server's base context:
 		// coalesced followers must not die with the leader's connection, and
 		// drain-cancellation flows through baseCtx.
 		if err := s.queue.acquire(ctx); err != nil {
-			return nil, err
+			if errors.Is(err, errBusy) {
+				return nil, err
+			}
+			return nil, fmt.Errorf("%w: %w", errAbandoned, err)
 		}
 		defer s.queue.release()
 		if !s.beginExec() {
@@ -382,7 +390,15 @@ func (s *Server) result(ctx context.Context, norm Request, hash string) ([]byte,
 		}
 		s.cache.put(hash, body)
 		return body, nil
-	})
+	}
+	body, shared, err := s.fl.do(hash, lead)
+	// A leader whose client gave up while queued fails only itself: a
+	// follower whose own context is live asks again, and either leads a new
+	// run or joins another follower's. Each retry follows a distinct
+	// client's departure, so the loop is bounded by the callers.
+	for shared && errors.Is(err, errAbandoned) && ctx.Err() == nil {
+		body, shared, err = s.fl.do(hash, lead)
+	}
 	status := cacheMiss
 	if shared {
 		status = cacheCoalesced
@@ -529,7 +545,6 @@ func negotiateMetricsFormat(r *http.Request) (string, error) {
 // by file suffix).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	publishPoolGauges(s.reg)
-	publishSnapshotGauges(s.reg)
 	if err := ServeMetricsSnapshot(w, r, s.reg); err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 	}
@@ -584,18 +599,4 @@ func publishPoolGauges(reg *obs.Registry) {
 		reg.Gauge("server.machines.reuses", lbl).Set(float64(p.stats.Reuses))
 		reg.Gauge("server.machines.idle", lbl).Set(float64(p.stats.Idle))
 	}
-}
-
-// publishSnapshotGauges refreshes the warm-state memo gauges from the
-// process-wide snapshot memo. Fork-per-cell only pays off when the memo
-// actually serves captures back, so /metrics surfaces its hit/miss traffic,
-// eviction pressure, and resident checkpoint bytes alongside the machine-pool
-// reuse gauges.
-func publishSnapshotGauges(reg *obs.Registry) {
-	st := experiments.SnapshotMemoStats()
-	reg.Gauge("server.snapshots.hits").Set(float64(st.Hits))
-	reg.Gauge("server.snapshots.misses").Set(float64(st.Misses))
-	reg.Gauge("server.snapshots.evictions").Set(float64(st.Evictions))
-	reg.Gauge("server.snapshots.entries").Set(float64(st.Entries))
-	reg.Gauge("server.snapshots.resident_bytes").Set(float64(st.ResidentBytes))
 }

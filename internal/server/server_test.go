@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -206,6 +207,83 @@ func TestCoalescedBurstExecutesOnce(t *testing.T) {
 	}
 	if miss != 1 || coalesced != followers {
 		t.Fatalf("cache paths = %v, want 1 miss + %d coalesced", statuses, followers)
+	}
+}
+
+// TestFollowersSurviveLeaderGivingUp pins that a coalescing leader whose
+// client gives up while queued fails alone. The only execution slot is held
+// by another request, so the leader waits in the queue with two followers
+// coalesced onto it; cancelling the leader must leave both followers with
+// the result once the slot frees, whether each leads a new run or joins the
+// other's.
+func TestFollowersSurviveLeaderGivingUp(t *testing.T) {
+	blockerIn := make(chan struct{})
+	release := make(chan struct{})
+	srv, reg := stubServer(t, Config{MaxInflight: 1, MaxQueue: 4}, func(ctx context.Context, req Request) ([]byte, error) {
+		if req.Experiment == "table3" {
+			close(blockerIn)
+			<-release
+			return []byte(`{"blocker":true}`), nil
+		}
+		return []byte(`{"stub":true}`), nil
+	})
+	type outcome struct {
+		body []byte
+		err  error
+	}
+	call := func(ctx context.Context, experiment string) <-chan outcome {
+		norm, err := Request{Experiment: experiment}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(chan outcome, 1)
+		go func() {
+			body, _, err := srv.result(ctx, norm, norm.Hash())
+			out <- outcome{body, err}
+		}()
+		return out
+	}
+	wait := func(who string, out <-chan outcome) outcome {
+		t.Helper()
+		select {
+		case o := <-out:
+			return o
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked after 5s", who)
+			return outcome{}
+		}
+	}
+
+	blocker := call(context.Background(), "table3")
+	<-blockerIn
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leader := call(leaderCtx, "table2")
+	deadline := time.Now().Add(5 * time.Second)
+	for _, waiting := srv.queue.depth(); waiting != 1; _, waiting = srv.queue.depth() {
+		if time.Now().After(deadline) {
+			t.Fatal("leader never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	followers := []<-chan outcome{call(context.Background(), "table2"), call(context.Background(), "table2")}
+	time.Sleep(20 * time.Millisecond) // let the followers block on the leader's flight
+
+	cancelLeader()
+	if o := wait("leader", leader); !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("leader got %v, want its own context.Canceled", o.err)
+	}
+	close(release)
+	for i, f := range followers {
+		if o := wait(fmt.Sprintf("follower %d", i), f); o.err != nil || string(o.body) != `{"stub":true}` {
+			t.Errorf("follower %d got %q, %v; want the result", i, o.body, o.err)
+		}
+	}
+	if o := wait("blocker", blocker); o.err != nil {
+		t.Fatalf("blocker: %v", o.err)
+	}
+	if got := reg.Counter("server.queue.abandoned").Value(); got != 1 {
+		t.Errorf("server.queue.abandoned = %d, want 1", got)
 	}
 }
 
@@ -488,65 +566,5 @@ func TestIndexMetricsTraces(t *testing.T) {
 	}
 	if !bytes.Contains(tr, []byte("server.run.table2")) {
 		t.Fatal("request span missing from the exported trace")
-	}
-}
-
-// TestMetricsSnapshotMemoGauges pins the warm-state memo's /metrics surface
-// in both machine renderings: the JSON snapshot carries all five
-// server.snapshots.* gauges, and the Prometheus exposition renders each as a
-// typed gauge family that passes the linter. A renamed gauge or a rendering
-// that drops the family breaks dashboards silently, so both are golden here.
-func TestMetricsSnapshotMemoGauges(t *testing.T) {
-	srv, _ := stubServer(t, Config{}, func(ctx context.Context, req Request) ([]byte, error) {
-		return []byte("{}"), nil
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	gauges := []string{
-		"server.snapshots.hits",
-		"server.snapshots.misses",
-		"server.snapshots.evictions",
-		"server.snapshots.entries",
-		"server.snapshots.resident_bytes",
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	for _, g := range gauges {
-		if _, ok := snap.Gauges[g]; !ok {
-			t.Errorf("JSON rendering missing gauge %s: %v", g, snap.Gauges)
-		}
-	}
-
-	resp, err = http.Get(ts.URL + "/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fam := range []string{
-		"server_snapshots_hits",
-		"server_snapshots_misses",
-		"server_snapshots_evictions",
-		"server_snapshots_entries",
-		"server_snapshots_resident_bytes",
-	} {
-		if !bytes.Contains(body, []byte("# TYPE "+fam+" gauge")) {
-			t.Errorf("Prometheus rendering missing gauge family %s", fam)
-		}
-	}
-	if errs := obs.LintPrometheus(bytes.NewReader(body)); len(errs) != 0 {
-		t.Fatalf("Prometheus exposition fails lint: %v", errs)
 	}
 }

@@ -1,7 +1,6 @@
-// Package snapshot implements versioned, content-addressed checkpoints of
-// full machine state — pipeline, predictors, caches, TLBs, PMU, physical
-// memory, page tables, and the RNG cursor — with cheap forking into pooled
-// machines.
+// Package snapshot checkpoints full machine state — pipeline, predictors,
+// caches, TLBs, PMU, physical memory, page tables, and the RNG cursor — and
+// forks it into pooled machines.
 //
 // The mechanism is capture-once / fork-many: Capture clones a quiescent
 // machine into a frozen replica that is never executed again, and every Fork
@@ -10,27 +9,22 @@
 // existing backing storage, a steady-state Fork allocates nothing, and the
 // forked machine is bit-identical to the captured one: running any program on
 // a fork produces exactly the cycles, PMU counts, and architectural results
-// the source machine would have produced. That equivalence is what lets the
-// sweep driver replace reboot-per-cell with fork-per-cell without moving a
-// single golden trace (internal/fuzzgen's FuzzSnapshotRestore and the
-// experiments golden tests pin it).
+// the source machine would have produced (internal/fuzzgen's
+// FuzzSnapshotRestore pins it).
+//
+// Sweep cells do not fork: internal/experiments boots every cell on a pooled
+// machine. Each cell seeds its machine from its own identity, so few cells
+// share a boot, and one capture costs more than ten reboots. The package
+// serves callers that replay one warm machine many times.
 package snapshot
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 
 	"whisper/internal/cpu"
-	"whisper/internal/isa"
 	"whisper/internal/kernel"
 	"whisper/internal/mem"
 )
-
-// Version identifies the checkpoint layout. It participates in every
-// snapshot ID, so a layout change can never collide with checkpoints taken
-// by earlier code.
-const Version = 1
 
 // Snapshot is one immutable checkpoint. It may be forked concurrently; the
 // frozen replica inside is never mutated after Capture returns.
@@ -41,33 +35,15 @@ type Snapshot struct {
 	userRoot uint64         // page-table root the captured pipeline was walking
 	kern     kernel.State
 	hasKern  bool
-	bytes    int64
-
-	idOnce sync.Once
-	id     string
 }
 
-// ID returns the snapshot's content address: a digest of the captured
-// physical image, architectural state, cycle/RNG cursors, and layout
-// Version. Two snapshots of bit-identical machines get equal IDs. The digest
-// walks the full physical image, so it is computed lazily on first call —
-// capture-heavy paths that never ask for the ID (the warm-state memo keys by
-// boot tuple) never pay for it.
-func (s *Snapshot) ID() string {
-	s.idOnce.Do(s.seal)
-	return s.id
+// Stats is the shape of the removed warm-state memo's counters, kept for
+// readers of experiments.SnapshotMemoStats.
+type Stats struct {
+	Hits          uint64
+	Misses        uint64
+	ResidentBytes int64
 }
-
-// Model returns the CPU model the snapshot was captured on.
-func (s *Snapshot) Model() cpu.Model { return s.model }
-
-// Bytes returns an estimate of the snapshot's resident size: backed physical
-// pages plus the cache-metadata arrays, the dominant terms.
-func (s *Snapshot) Bytes() int64 { return s.bytes }
-
-// Kernel reports whether the snapshot carries kernel state (CaptureKernel)
-// and, if so, a copy of it.
-func (s *Snapshot) Kernel() (kernel.State, bool) { return s.kern, s.hasKern }
 
 // Capture checkpoints a quiescent machine (between Execs). The machine is
 // not modified and can keep running; the snapshot holds a frozen replica —
@@ -84,10 +60,8 @@ func Capture(m *cpu.Machine) (*Snapshot, error) {
 	}
 	root := m.Pipe.AddressSpace().Root()
 	frozen.Pipe.SetAddressSpace(frozen.BindAddressSpace(0, root))
-	s := &Snapshot{model: m.Model, frozen: frozen, userRoot: root,
-		hierImg: m.Hier.Image()}
-	s.measure()
-	return s, nil
+	return &Snapshot{model: m.Model, frozen: frozen, userRoot: root,
+		hierImg: m.Hier.Image()}, nil
 }
 
 // CaptureKernel checkpoints a booted kernel and its machine together, so
@@ -100,55 +74,6 @@ func CaptureKernel(k *kernel.Kernel) (*Snapshot, error) {
 	s.kern = k.CaptureState()
 	s.hasKern = true
 	return s, nil
-}
-
-// frozenFixedBytes approximates the frozen replica's fixed-state footprint —
-// registers, TLB and BPU tables, PMU counters, the pipeline record — which is
-// resident regardless of how many pages or cache lines the capture carries.
-const frozenFixedBytes = 8 << 10
-
-// measure computes the snapshot's resident size: backed physical pages plus
-// the hierarchy image's valid lines, the dominant terms, plus the replica's
-// fixed-state footprint.
-func (s *Snapshot) measure() {
-	s.bytes = frozenFixedBytes +
-		int64(s.frozen.Phys.PageCount())*mem.PageSize +
-		int64(s.hierImg.Lines())*24
-}
-
-// seal computes the content address (via ID's once).
-func (s *Snapshot) seal() {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	mix := func(v uint64) {
-		for sh := 0; sh < 64; sh += 8 {
-			h = (h ^ (v >> sh & 0xff)) * prime
-		}
-	}
-	mix(Version)
-	for _, b := range []byte(s.model.Name) {
-		h = (h ^ uint64(b)) * prime
-	}
-	m := s.frozen
-	h = m.Phys.DigestFNV(h)
-	mix(m.Pipe.Cycle())
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		mix(m.Pipe.Reg(r))
-	}
-	for _, c := range m.PMU.Snapshot() {
-		mix(c)
-	}
-	seed, draws := m.RandCursor()
-	mix(uint64(seed))
-	mix(draws)
-	mix(m.Alloc.Next())
-	mix(s.userRoot)
-	if s.hasKern {
-		mix(s.kern.KernRoot)
-		mix(uint64(s.kern.BaseSlot))
-		mix(s.kern.KASLRBase)
-	}
-	s.id = fmt.Sprintf("ws%d-%016x", Version, h)
 }
 
 // Fork restores the snapshot into a machine drawn from pool (or freshly

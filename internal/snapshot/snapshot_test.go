@@ -81,89 +81,3 @@ func TestForkIsBitIdenticalToReboot(t *testing.T) {
 		t.Fatalf("second fork should reuse the pooled machine, stats %+v", st)
 	}
 }
-
-func TestSnapshotIDIsContentAddressed(t *testing.T) {
-	model, cfg := cpu.I9_10980XE(), kernel.Config{KASLR: true}
-	a, err := snapshot.CaptureKernel(bootFresh(t, model, cfg, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := snapshot.CaptureKernel(bootFresh(t, model, cfg, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ID() != b.ID() {
-		t.Fatalf("identical boots, different IDs: %s vs %s", a.ID(), b.ID())
-	}
-	c, err := snapshot.CaptureKernel(bootFresh(t, model, cfg, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ID() == c.ID() {
-		t.Fatalf("different seeds, same ID %s", a.ID())
-	}
-	if a.Bytes() <= 0 {
-		t.Fatalf("Bytes() = %d", a.Bytes())
-	}
-}
-
-func TestMemoLRUEvictionAndFamilyPinning(t *testing.T) {
-	mo := snapshot.NewMemo(2)
-	capture := func(seed int64) *snapshot.Snapshot {
-		m, err := cpu.NewMachine(cpu.I7_6700(), seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := snapshot.Capture(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	key := func(seed int64) snapshot.Key {
-		return snapshot.Key{Model: cpu.I7_6700(), Seed: seed}
-	}
-
-	mo.Put(key(1), capture(1), "table2")
-	mo.Put(key(2), capture(2), "") // unpinned
-	if s, _ := mo.Get(key(1), "table2"); s == nil {
-		t.Fatal("miss on resident key")
-	}
-	// Third insert overflows the bound; the unpinned key(2) is the LRU
-	// victim even though key(1) is older by insertion.
-	mo.Put(key(3), capture(3), "table3")
-	if s, _ := mo.Get(key(2), ""); s != nil {
-		t.Fatal("unpinned LRU entry survived eviction")
-	}
-	if s1, _ := mo.Get(key(1), "table2"); s1 == nil {
-		t.Fatal("pinned entry evicted")
-	}
-	if s3, _ := mo.Get(key(3), "table3"); s3 == nil {
-		t.Fatal("pinned entry evicted")
-	}
-
-	st := mo.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("hit/miss accounting %+v", st)
-	}
-	if st.ResidentBytes <= 0 {
-		t.Fatalf("resident bytes %d", st.ResidentBytes)
-	}
-}
-
-func TestMemoPromotesCaptureOnSecondMiss(t *testing.T) {
-	mo := snapshot.NewMemo(2)
-	k := snapshot.Key{Model: cpu.I7_6700(), Seed: 9}
-	if _, capture := mo.Get(k, "f"); capture {
-		t.Fatal("first miss should not ask for a capture")
-	}
-	if _, capture := mo.Get(k, "f"); !capture {
-		t.Fatal("second miss of the same key should promote to capture")
-	}
-	if _, capture := mo.Get(snapshot.Key{Model: cpu.I7_6700(), Seed: 10}, "f"); capture {
-		t.Fatal("a different key must start unpromoted")
-	}
-}

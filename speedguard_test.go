@@ -195,14 +195,13 @@ func TestSnapshotForkZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotForkBeatsReboot is the wall-clock gate behind the snapshot
-// tentpole: restoring a warm-boot checkpoint into a pooled machine must be
-// faster than re-booting the kernel on that machine — otherwise the sweep
-// driver's fork-per-cell strategy is a pure loss and WHISPER_SNAPSHOTS should
-// default off. The margin is generous (fork must merely win; measured ~4x
-// faster) so the gate trips on a real regression — a fork path that quietly
-// re-copies the full physical image or rescans full cache metadata — not on
-// runner jitter.
+// TestSnapshotForkBeatsReboot is the snapshot library's wall-clock gate:
+// restoring a warm-boot checkpoint into a pooled machine must be faster than
+// re-booting the kernel on that machine, or forking is a pure loss for any
+// caller that replays one warm machine. The margin is generous (fork must
+// merely win; measured ~4x faster) so the gate trips on a real regression —
+// a fork path that quietly re-copies the full physical image or rescans full
+// cache metadata — not on runner jitter.
 func TestSnapshotForkBeatsReboot(t *testing.T) {
 	cfg := kernel.Config{KASLR: true}
 	m, err := cpu.NewMachine(cpu.I7_7700(), 16)
