@@ -8,6 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"whisper/internal/cli"
 	"whisper/internal/experiments"
@@ -79,7 +81,9 @@ func main() {
 		return
 	}
 
+	var names []string // every -exp value run registers, in order
 	run := func(name string, f func() error) {
+		names = append(names, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
@@ -158,5 +162,10 @@ func main() {
 	runSweep("stealth", experiments.SweepParams{Seed: *seed})
 	runSweep("condfamily", experiments.SweepParams{Seed: *seed})
 	runSweep("noise", experiments.SweepParams{Seed: *seed})
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		// Nothing ran: every step skips an -exp that is not its name.
+		fmt.Fprintf(os.Stderr, "tetbench: unknown -exp %q (have all|%s)\n", *exp, strings.Join(names, "|"))
+		os.Exit(2)
+	}
 	writeOutputs()
 }

@@ -227,10 +227,8 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer g.inflight.Done()
 	var req server.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "bad request: "+err.Error())
+	if status, err := server.DecodeBody(w, r, server.MaxRunBody, &req); err != nil {
+		writeError(w, r, status, err.Error())
 		return
 	}
 	norm, err := req.Normalize()

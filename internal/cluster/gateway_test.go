@@ -604,14 +604,38 @@ func TestGatewayBadRequestNeverCostsABackendHop(t *testing.T) {
 	a := newStubBackend(t, `{"hash":"a"}`)
 	_, gwts := newTestGateway(t, Config{Backends: []string{a.addr()}})
 
-	for _, body := range []string{`{not json`, `{"experiment":"no-such-experiment"}`, `{"unknown_field":1}`} {
-		resp, err := http.Post(gwts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	tooManyCells := `{"cells":[` + strings.Repeat(`{"experiment":"table2"},`, maxSweepCells) + `{"experiment":"table2"}]}`
+	for _, c := range []struct {
+		name, path, body string
+		want             int
+		msg              string // substring the error must carry
+	}{
+		{"not json", "/v1/run", `{not json`, http.StatusBadRequest, "bad request"},
+		{"unknown experiment", "/v1/run", `{"experiment":"no-such-experiment"}`, http.StatusBadRequest, "unknown experiment"},
+		{"unknown field", "/v1/run", `{"unknown_field":1}`, http.StatusBadRequest, "unknown field"},
+		{"over-bound size", "/v1/run", `{"experiment":"throughput","throughput_bytes":1073741824}`, http.StatusBadRequest, "throughput_bytes"},
+		{"oversized run body", "/v1/run", `{"experiment":"leak","secret":"` + strings.Repeat("s", server.MaxRunBody) + `"}`,
+			http.StatusRequestEntityTooLarge, "request body over"},
+		{"empty sweep", "/v1/sweep", `{"cells":[]}`, http.StatusBadRequest, "empty sweep"},
+		{"too many cells", "/v1/sweep", tooManyCells, http.StatusBadRequest, "4097 cells (max 4096)"},
+		{"bad cell 1", "/v1/sweep", `{"cells":[{"experiment":"table2"},{"experiment":"tableX"}]}`, http.StatusBadRequest, "cell 1: "},
+		{"over-bound cell", "/v1/sweep", `{"cells":[{"experiment":"table2"},{"experiment":"table3"},{"experiment":"kaslr","kaslr_reps":65}]}`,
+			http.StatusBadRequest, "cell 2: server: kaslr_reps 65"},
+		{"oversized sweep body", "/v1/sweep", `{"cells":[{"experiment":"leak","secret":"` + strings.Repeat("s", maxSweepBody) + `"}]}`,
+			http.StatusRequestEntityTooLarge, "request body over"},
+	} {
+		resp, err := http.Post(gwts.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+		if err != nil {
+			t.Fatalf("%s: decoding the error body: %v", c.name, err)
+		}
+		if resp.StatusCode != c.want || !strings.Contains(e.Error, c.msg) {
+			t.Errorf("%s: %d %q, want %d and an error naming %q", c.name, resp.StatusCode, e.Error, c.want, c.msg)
 		}
 	}
 	if a.runs.Load() != 0 {

@@ -25,6 +25,9 @@ type SweepRequest struct {
 // the whole cluster.
 const maxSweepCells = 4096
 
+// maxSweepBody caps a POST /v1/sweep body: 1 KiB per cell at maxSweepCells.
+const maxSweepBody = 4 << 20
+
 // SweepCellsHeader reports how many cells a sweep response streams.
 const SweepCellsHeader = "X-Whisper-Sweep-Cells"
 
@@ -54,10 +57,8 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer g.inflight.Done()
 	var sreq SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
-		writeError(w, r, http.StatusBadRequest, "bad request: "+err.Error())
+	if status, err := server.DecodeBody(w, r, maxSweepBody, &sreq); err != nil {
+		writeError(w, r, status, err.Error())
 		return
 	}
 	if len(sreq.Cells) == 0 {

@@ -41,9 +41,6 @@ func TestGenerateDeterministic(t *testing.T) {
 						rep, got.Handler, got.MemSeed, ref.Handler, ref.MemSeed)
 				}
 			}
-			if sig := fuzzgen.Signature(data); sig != fuzzgen.Signature(data) {
-				t.Fatalf("signature unstable: %#x", sig)
-			}
 		})
 	}
 }

@@ -5,8 +5,12 @@
 // stores of every size, faulting accesses, TSX and signal-suppressed
 // transient blocks, dependent and independent conditional branches, bounded
 // loops, calls, fences and cache maintenance. The same generator drives the
-// native fuzz targets (go test -fuzz ./internal/fuzzgen), the pinned
-// differential tests in internal/interp, and cmd/whisperfuzz campaigns.
+// package's Fuzz* targets and the pinned differential tests in
+// internal/interp.
+//
+// The Go toolchain is the only fuzz engine: `go test -fuzz` mutates and
+// minimizes inputs and writes crashers to testdata/fuzz/<FuzzX>/, and plain
+// `go test` replays every file there as subtest <FuzzX>/<file>.
 //
 // Generation is total and deterministic: every byte string (including the
 // empty one) produces an assemblable program, and equal bytes produce
@@ -16,7 +20,6 @@ package fuzzgen
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"whisper/internal/isa"
 )
@@ -367,14 +370,4 @@ func GenerateSpec(data []byte) Spec {
 func GeneratePair(data []byte) (Spec, Spec) {
 	half := len(data) / 2
 	return GenerateSpec(data[:half]), GenerateSpec(data[half:])
-}
-
-// Signature is a content identity for the program an input generates, used
-// by cmd/whisperfuzz to recognise inputs that add no new program shape.
-func Signature(data []byte) uint64 {
-	spec := GenerateSpec(data)
-	h := fnv.New64a()
-	fmt.Fprintf(h, "handler=%d memseed=%d\n", spec.Handler, spec.MemSeed)
-	_, _ = h.Write([]byte(spec.Prog.Dump()))
-	return h.Sum64()
 }

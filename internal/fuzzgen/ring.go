@@ -2,8 +2,6 @@ package fuzzgen
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
 
 	"whisper/internal/cluster"
@@ -118,22 +116,4 @@ func backendsFromBytes(s *src) []string {
 		}
 	}
 	return out
-}
-
-// ringSignature identifies an input by the member set and home assignments
-// it produces, so whisperfuzz keeps only inputs reaching new ring shapes.
-func ringSignature(data []byte) uint64 {
-	s := &src{data: data}
-	ring := cluster.NewRing(backendsFromBytes(s))
-	h := fnv.New64a()
-	for _, m := range ring.Members() {
-		_, _ = io.WriteString(h, m)
-		_, _ = h.Write([]byte{'\n'})
-	}
-	for i := 0; i < 4; i++ {
-		home, _ := ring.Pick(string(s.take(8)))
-		_, _ = io.WriteString(h, home)
-		_, _ = h.Write([]byte{0})
-	}
-	return h.Sum64()
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"reflect"
 
 	"whisper/internal/core"
@@ -26,69 +24,6 @@ const (
 	pipeBudget   = 50_000_000 // cycles, with skip-ahead
 	smtBudget    = 5_000_000  // cycles per thread, lockstep (no skip-ahead)
 )
-
-// Target is one fuzzable property: a name for the CLI, the native go-fuzz
-// target it corresponds to, and the check an input must pass. Sig, when set,
-// maps an input to a content signature cmd/whisperfuzz uses to keep only
-// corpus entries that exercise a new shape.
-type Target struct {
-	Name     string
-	FuzzName string
-	Doc      string
-	Check    func(data []byte) error
-	Sig      func(data []byte) uint64
-}
-
-// Targets returns the registered fuzz targets.
-func Targets() []Target {
-	return []Target{
-		{
-			Name:     "difftest",
-			FuzzName: "FuzzInterpVsPipeline",
-			Doc:      "interp-vs-pipeline architectural equivalence (registers, memory, fault ordering)",
-			Check:    CheckInterpVsPipeline,
-			Sig:      Signature,
-		},
-		{
-			Name:     "invariants",
-			FuzzName: "FuzzPipelineInvariants",
-			Doc:      "pipeline self-invariants under Reset reuse, SMT lockstep, and kernel probe campaigns",
-			Check:    CheckPipelineInvariants,
-			Sig:      Signature,
-		},
-		{
-			Name:     "canon",
-			FuzzName: "FuzzServerCanonicalization",
-			Doc:      "server request canonicalization: normalize idempotence, hash stability, no collisions",
-			Check:    CheckServerCanonicalization,
-			Sig:      canonSignature,
-		},
-		{
-			Name:     "snapshot",
-			FuzzName: "FuzzSnapshotRestore",
-			Doc:      "snapshot capture/fork bit-identity: forks replay the remainder exactly as the capture source",
-			Check:    CheckSnapshotRestore,
-			Sig:      Signature,
-		},
-		{
-			Name:     "ring",
-			FuzzName: "FuzzRingAssignment",
-			Doc:      "cluster consistent-hash ring: total, in-range, deterministic assignment; minimal remap",
-			Check:    CheckRingAssignment,
-			Sig:      ringSignature,
-		},
-	}
-}
-
-// TargetByName resolves a target by CLI name or fuzz-target name.
-func TargetByName(name string) (Target, bool) {
-	for _, t := range Targets() {
-		if t.Name == name || t.FuzzName == name {
-			return t, true
-		}
-	}
-	return Target{}, false
-}
 
 // CheckInterpVsPipeline generates a program from the input and runs it on
 // both engines over identical initial memory. Architectural state — every
@@ -566,22 +501,4 @@ func requestFromBytes(s *src) server.Request {
 	}
 	r.KPTI, r.FLARE, r.Docker = s.coin(), s.coin(), s.coin()
 	return r
-}
-
-// canonSignature identifies an input by the canonical forms (or rejections)
-// it produces, so whisperfuzz keeps only inputs reaching new canon shapes.
-func canonSignature(data []byte) uint64 {
-	s := &src{data: data}
-	h := fnv.New64a()
-	for i := 0; i < 2; i++ {
-		r := requestFromBytes(s)
-		if n, err := r.Normalize(); err != nil {
-			_, _ = io.WriteString(h, "rejected\n")
-		} else {
-			b, _ := json.Marshal(n)
-			_, _ = h.Write(b)
-			_, _ = h.Write([]byte{'\n'})
-		}
-	}
-	return h.Sum64()
 }

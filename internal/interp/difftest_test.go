@@ -15,8 +15,8 @@ import (
 // state on the sequential interpreter and the out-of-order pipeline, whatever
 // speculation the pipeline performed along the way. Program generation, the
 // memory layout and the engine comparison all live in internal/fuzzgen — the
-// same code the fuzz targets and cmd/whisperfuzz campaigns drive — so a
-// divergence found by either shows up here as a seed, and vice versa.
+// same code FuzzInterpVsPipeline drives — so a divergence found by either
+// shows up here as a seed, and vice versa.
 
 func seedStream(seed int64, n int) []byte {
 	buf := make([]byte, n)

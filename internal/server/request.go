@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"whisper/internal/core"
 	"whisper/internal/cpu"
@@ -64,6 +65,16 @@ const (
 	DefaultAttackSeed = 1
 )
 
+// Size bounds. Run time grows linearly in each of these, and a running cell
+// does not poll its context, so neither a request timeout nor the drain
+// deadline could stop an unbounded one.
+const (
+	maxSecretBytes     = 256
+	maxThroughputBytes = 1024 // the paper's payload
+	maxKASLRReps       = 64
+	maxFig1bBatches    = 64
+)
+
 // isAttackShaped reports whether the experiment takes CPU/secret/kernel
 // options instead of sweep sizing.
 func isAttackShaped(name string) bool { return name == "attacks" || name == "leak" }
@@ -78,8 +89,9 @@ func Experiments() []string {
 // Normalize resolves defaults and drops fields foreign to the experiment,
 // returning the canonical request two different spellings of the same
 // computation collapse to. It errors on an unknown experiment, attack
-// family, or CPU model, so a hash is only ever minted for a runnable
-// request.
+// family, or CPU model, on a secret or sweep size over its bound, and on a
+// secret that is not valid UTF-8, so a hash is only ever minted for a
+// runnable request and never shared by two computations.
 func (r Request) Normalize() (Request, error) {
 	known := false
 	for _, name := range Experiments() {
@@ -106,6 +118,14 @@ func (r Request) Normalize() (Request, error) {
 		if r.Secret == "" {
 			r.Secret = DefaultSecret
 		}
+		if len(r.Secret) > maxSecretBytes {
+			return Request{}, fmt.Errorf("server: secret of %d bytes over the bound %d", len(r.Secret), maxSecretBytes)
+		}
+		// Hash encodes with encoding/json, which writes every invalid byte
+		// as U+FFFD: two such secrets would share one hash and cache entry.
+		if !utf8.ValidString(r.Secret) {
+			return Request{}, fmt.Errorf("server: secret is not valid UTF-8")
+		}
 		if r.Experiment == "leak" {
 			r.Attacks = nil // the leak is one fixed attack
 		} else if len(r.Attacks) > 0 {
@@ -119,6 +139,14 @@ func (r Request) Normalize() (Request, error) {
 		}
 		r.ThroughputBytes, r.KASLRReps, r.Fig1bBatches = 0, 0, 0
 	} else {
+		switch {
+		case r.ThroughputBytes > maxThroughputBytes:
+			return Request{}, fmt.Errorf("server: throughput_bytes %d over the bound %d", r.ThroughputBytes, maxThroughputBytes)
+		case r.KASLRReps > maxKASLRReps:
+			return Request{}, fmt.Errorf("server: kaslr_reps %d over the bound %d", r.KASLRReps, maxKASLRReps)
+		case r.Fig1bBatches > maxFig1bBatches:
+			return Request{}, fmt.Errorf("server: fig1b_batches %d over the bound %d", r.Fig1bBatches, maxFig1bBatches)
+		}
 		p := experiments.SweepParams{
 			Seed:            r.Seed,
 			ThroughputBytes: r.ThroughputBytes,

@@ -70,16 +70,35 @@ func TestNormalizeAttackCanonical(t *testing.T) {
 }
 
 // TestNormalizeRejectsUnknown checks no hash is ever minted for a request
-// the server cannot run.
+// the server cannot run, cannot hash apart from another, or that is sized
+// to hold a backend for hours.
 func TestNormalizeRejectsUnknown(t *testing.T) {
 	cases := []Request{
 		{Experiment: "tableX"},
 		{Experiment: "attacks", CPU: "6502"},
 		{Experiment: "attacks", Attacks: []string{"rowhammer"}},
+		{Experiment: "attacks", Secret: strings.Repeat("s", maxSecretBytes+1)},
+		{Experiment: "leak", Secret: strings.Repeat("s", maxSecretBytes+1)},
+		{Experiment: "leak", Secret: "\xc5\xc5"}, // would hash as "\ufffd\ufffd"
+		{Experiment: "throughput", ThroughputBytes: maxThroughputBytes + 1},
+		{Experiment: "throughput", ThroughputBytes: 1 << 30},
+		{Experiment: "kaslr", KASLRReps: maxKASLRReps + 1},
+		{Experiment: "fig1b", Fig1bBatches: maxFig1bBatches + 1},
 	}
 	for _, req := range cases {
 		if _, err := req.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted an unrunnable request", req)
+		}
+	}
+	atBound := []Request{
+		{Experiment: "leak", Secret: strings.Repeat("s", maxSecretBytes)},
+		{Experiment: "throughput", ThroughputBytes: maxThroughputBytes},
+		{Experiment: "kaslr", KASLRReps: maxKASLRReps},
+		{Experiment: "fig1b", Fig1bBatches: maxFig1bBatches},
+	}
+	for _, req := range atBound {
+		if _, err := req.Normalize(); err != nil {
+			t.Errorf("Normalize(%+v) rejected a request at the bound: %v", req, err)
 		}
 	}
 }

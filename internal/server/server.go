@@ -205,6 +205,27 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) 
 	enc.Encode(errorBody{Error: msg, Status: status, RequestID: obs.RequestIDFrom(r.Context())})
 }
 
+// MaxRunBody caps a POST /v1/run body. A request with the longest secret
+// Normalize accepts, every byte escaped, and every attack family named is
+// under 2 KiB.
+const MaxRunBody = 64 << 10
+
+// DecodeBody decodes r's JSON body into v, refusing unknown fields and a
+// body that runs past limit bytes. On failure it returns the status to
+// answer with: 413 for an oversized body, 400 for any other bad one.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", limit)
+		}
+		return http.StatusBadRequest, fmt.Errorf("bad request: %w", err)
+	}
+	return http.StatusOK, nil
+}
+
 // Shutdown drains the server: new requests are refused (503), in-flight
 // executions run to completion — or, once ctx expires, are cancelled through
 // their context — and Shutdown returns when every execution has finished.
@@ -291,10 +312,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "bad request: "+err.Error())
+	if status, err := DecodeBody(w, r, MaxRunBody, &req); err != nil {
+		writeError(w, r, status, err.Error())
 		return
 	}
 	norm, err := req.Normalize()

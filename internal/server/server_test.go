@@ -484,33 +484,42 @@ func TestPanickingRunServed500(t *testing.T) {
 	}
 }
 
-// TestBadRequests checks the 4xx surface.
+// TestBadRequests checks the 4xx surface: every bad request is answered
+// before an execution starts.
 func TestBadRequests(t *testing.T) {
+	var runs atomic.Int32
 	srv, _ := stubServer(t, Config{}, func(ctx context.Context, req Request) ([]byte, error) {
+		runs.Add(1)
 		return []byte("{}"), nil
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	status, _, _ := post(t, ts.URL, Request{Experiment: "unknown"})
-	if status != http.StatusBadRequest {
-		t.Fatalf("unknown experiment got %d, want 400", status)
+	for _, c := range []struct {
+		name, method, body string
+		want               int
+	}{
+		{"unknown experiment", http.MethodPost, `{"experiment":"unknown"}`, http.StatusBadRequest},
+		{"unknown field", http.MethodPost, `{"experiment":"table2","bogus":1}`, http.StatusBadRequest},
+		{"over-bound size", http.MethodPost, `{"experiment":"throughput","throughput_bytes":1073741824}`, http.StatusBadRequest},
+		{"oversized body", http.MethodPost, `{"experiment":"leak","secret":"` + strings.Repeat("s", MaxRunBody) + `"}`, http.StatusRequestEntityTooLarge},
+		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+"/v1/run", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: got %d, want %d", c.name, resp.StatusCode, c.want)
+		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(`{"experiment":"table2","bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field got %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/v1/run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/run got %d, want 405", resp.StatusCode)
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("bad requests started %d executions", n)
 	}
 }
 
