@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		tracePath   = flag.String("trace", "", "Perfetto/Chrome trace file written by -trace-out")
-		metricsPath = flag.String("metrics", "", "metrics snapshot written by -metrics-out (.json, .prom or text)")
+		metricsPath = flag.String("metrics", "", "metrics snapshot written by -metrics-out (.json or text)")
 		lintPath    = flag.String("lint-metrics", "", "lint a Prometheus text exposition and exit (- for stdin)")
 	)
 	flag.Parse()

@@ -1,13 +1,15 @@
 // Command whisper runs a single Whisper attack on a chosen CPU model and
 // prints what leaked. It is the interactive front door to the library; the
-// full evaluation lives in cmd/tetbench. With -all, every attack family runs
-// as one scheduler job on its own machine (seeded per attack name), so the
-// combined output is byte-identical at any -parallel setting. With -remote,
-// the request is served by a whisperd daemon instead of executed locally,
-// possibly from the daemon's content-addressed cache. The daemon runs every
-// attack as its block of the -all suite, so a served -all prints the local
-// -all bytes after the "machine:" line, while a served single attack differs
-// from a local one, which boots on -seed itself.
+// full evaluation lives in cmd/tetbench. Every family runs through
+// experiments.RunAttack: -attack on the one machine it boots from -seed, and
+// -all (experiments.AttackSuite) as one scheduler job per family on its own
+// machine (seeded per attack name), so the combined output is byte-identical
+// at any -parallel setting. With -remote, the request is served by a
+// whisperd daemon instead of executed locally, possibly from the daemon's
+// content-addressed cache. The daemon runs every attack as its block of the
+// -all suite, so a served -all prints the local -all bytes after the
+// "machine:" line, while a served single attack differs from a local one,
+// which boots on -seed itself.
 package main
 
 import (
@@ -15,6 +17,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"whisper/internal/cli"
 	"whisper/internal/core"
@@ -25,18 +29,20 @@ import (
 	"whisper/internal/obs/logging"
 	"whisper/internal/server"
 	"whisper/internal/server/client"
-	"whisper/internal/smt"
-	"whisper/internal/stats"
 	"whisper/internal/trace"
 )
 
+// attackList names every attack family, in block order, for -attack's help
+// and its unknown-name error.
+var attackList = strings.Join(experiments.AttackNames(), "|")
+
 func main() {
 	var (
-		attack   = flag.String("attack", "md", "attack: cc|md|zbl|rsb|v1|kaslr|smt")
+		attack   = flag.String("attack", "md", "attack: "+attackList)
 		all      = flag.Bool("all", false, "run every attack family (ignores -attack)")
-		cpuName  = flag.String("cpu", "Kaby Lake", "CPU model (microarchitecture or full name)")
-		secret   = flag.String("secret", "squeamish ossifrage", "victim secret to plant and leak")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
+		cpuName  = flag.String("cpu", server.DefaultCPU, "CPU model (microarchitecture or full name)")
+		secret   = flag.String("secret", server.DefaultSecret, "victim secret to plant and leak")
+		seed     = flag.Int64("seed", server.DefaultAttackSeed, "deterministic seed")
 		parallel = flag.Int("parallel", 0, "sched workers for -all (<=0: GOMAXPROCS); output is identical at any setting")
 		kpti     = flag.Bool("kpti", false, "enable KPTI")
 		flare    = flag.Bool("flare", false, "enable FLARE")
@@ -103,21 +109,14 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(out)
-		if *traceOut != "" {
-			if err := reg.WriteTraceFile(*traceOut, nil); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := reg.WriteMetricsFile(*metricsOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
-		}
+		writeTelemetry(reg, *traceOut, *metricsOut)
 		return
 	}
 
+	if !slices.Contains(experiments.AttackNames(), *attack) {
+		fmt.Fprintf(os.Stderr, "whisper: unknown attack %q (have %s)\n", *attack, attackList)
+		os.Exit(2)
+	}
 	m, err := cpu.NewMachine(model, *seed)
 	if err != nil {
 		fatal(err)
@@ -131,128 +130,35 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	want := []byte(*secret)
 	fmt.Printf("machine: %s (%s), KASLR base %#x (hidden from the attack)\n",
 		model.Name, model.Microarch, k.KASLRBase())
-
-	report := func(name string, res core.LeakResult) {
-		fmt.Printf("%s leaked %q\n", name, res.Data)
-		fmt.Printf("  throughput %.1f B/s, byte error rate %.1f%%, %d simulated cycles (%.4fs at %.1f GHz)\n",
-			res.Bps, stats.ByteErrorRate(res.Data, want)*100, res.Cycles,
-			m.Seconds(res.Cycles), model.ClockHz/1e9)
+	out, err := experiments.RunAttack(k, *attack, []byte(*secret))
+	if err != nil {
+		fatal(err)
 	}
-
-	switch *attack {
-	case "md":
-		k.WriteSecret(want)
-		a, err := core.NewTETMeltdown(k)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := a.Leak(k.SecretVA(), len(want))
-		if err != nil {
-			fatal(err)
-		}
-		report("TET-Meltdown", res)
-	case "zbl":
-		k.WriteSecret(want)
-		a, err := core.NewTETZombieload(k)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := a.Leak(len(want))
-		if err != nil {
-			fatal(err)
-		}
-		report("TET-Zombieload", res)
-	case "rsb":
-		secretVA := uint64(kernel.UserDataBase + 0x500)
-		pa, ok := k.UserAS().Translate(secretVA)
-		if !ok {
-			fatal(fmt.Errorf("secret VA unmapped"))
-		}
-		m.Phys.StoreBytes(pa, want)
-		a, err := core.NewTETRSB(k)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := a.Leak(secretVA, len(want))
-		if err != nil {
-			fatal(err)
-		}
-		report("TET-Spectre-RSB", res)
-	case "v1":
-		v1, err := core.NewTETSpectreV1(k)
-		if err != nil {
-			fatal(err)
-		}
-		pa, ok := k.UserAS().Translate(v1.ArrayVA() + v1.ArrayLen())
-		if !ok {
-			fatal(fmt.Errorf("V1 secret region unmapped"))
-		}
-		m.Phys.StoreBytes(pa, want)
-		res, err := v1.Leak(v1.ArrayLen(), len(want))
-		if err != nil {
-			fatal(err)
-		}
-		report("TET-Spectre-V1 (extension)", res)
-	case "cc":
-		a, err := core.NewTETCovertChannel(k)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := a.Transfer(want)
-		if err != nil {
-			fatal(err)
-		}
-		report("TET covert channel", res)
-	case "smt":
-		a, err := smt.NewChannel(k, smt.ModeReliable)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := a.Transfer(want[:min(len(want), 4)])
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("SMT covert channel received %q (%.2f B/s, bit error %.1f%%)\n",
-			res.Data, res.Bps, stats.BitErrorRate(res.Data, want[:len(res.Data)])*100)
-	case "kaslr":
-		a, err := core.NewTETKASLR(k)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := a.Locate()
-		if err != nil {
-			fatal(err)
-		}
-		verdict := "WRONG"
-		if res.Base == k.KASLRBase() {
-			verdict = "correct"
-		}
-		fmt.Printf("TET-KASLR recovered base %#x (slot %d) in %.4f s — %s\n",
-			res.Base, res.Slot, res.Seconds, verdict)
-	default:
-		fmt.Fprintf(os.Stderr, "whisper: unknown attack %q\n", *attack)
-		os.Exit(2)
-	}
-
+	fmt.Print(out)
 	if *showWin {
 		if err := renderWindow(k); err != nil {
 			fatal(err)
 		}
 	}
-	if *traceOut != "" {
-		if err := m.Obs.WriteTraceFile(*traceOut, nil); err != nil {
+	writeTelemetry(m.Obs, *traceOut, *metricsOut)
+}
+
+// writeTelemetry writes the run's trace and metrics files, if asked for,
+// and says so on stderr so stdout stays the attack output alone.
+func writeTelemetry(reg *obs.Registry, traceOut, metricsOut string) {
+	if traceOut != "" {
+		if err := reg.WriteTraceFile(traceOut, nil); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", *traceOut)
+		fmt.Fprintf(os.Stderr, "trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", traceOut)
 	}
-	if *metricsOut != "" {
-		if err := m.Obs.WriteMetricsFile(*metricsOut); err != nil {
+	if metricsOut != "" {
+		if err := reg.WriteMetricsFile(metricsOut); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("metrics written to %s\n", *metricsOut)
+		fmt.Fprintf(os.Stderr, "metrics written to %s\n", metricsOut)
 	}
 }
 
@@ -292,11 +198,4 @@ func renderWindow(k *kernel.Kernel) error {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "whisper:", err)
 	os.Exit(1)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -200,6 +200,10 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController, so a handler
+// behind the recorder can still flush (the /v1/sweep stream does).
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // writeError mirrors the backend's JSON error envelope so gateway-minted
 // errors are shaped like backend-minted ones.
 func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {

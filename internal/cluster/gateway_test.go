@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -432,6 +433,68 @@ func TestGatewaySweepReportsCellFailureInStream(t *testing.T) {
 	}
 	if ch.runs.Load() < 5 {
 		t.Fatalf("backend saw %d runs; the failing cell was never attempted", ch.runs.Load())
+	}
+}
+
+// TestGatewaySweepStreamsEachCell checks the gateway sends each finished
+// cell while later cells still run. The backend holds cell 1's answer until
+// the client has read cell 0's envelope from the stream, so a gateway that
+// buffers the stream until the sweep ends never delivers cell 0, and the
+// request fails on its 5 s deadline.
+func TestGatewaySweepStreamsEachCell(t *testing.T) {
+	release := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		var req server.Request
+		if err == nil {
+			err = json.Unmarshal(body, &req)
+		}
+		if r.URL.Path != "/v1/run" || err != nil {
+			http.NotFound(w, r)
+			return
+		}
+		if req.Seed == 2 { // cell 1
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, "{\"hash\":\"seed-%d\"}\n", req.Seed)
+	}))
+	t.Cleanup(backend.Close)
+	_, gwts := newTestGateway(t, Config{Backends: []string{strings.TrimPrefix(backend.URL, "http://")}})
+	var once sync.Once
+	releaseCell1 := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(releaseCell1) // before the servers close, whatever the outcome
+
+	payload, err := json.Marshal(SweepRequest{Cells: []server.Request{
+		{Experiment: "table2", Seed: 1},
+		{Experiment: "table2", Seed: 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, gwts.URL+"/v1/sweep", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("sweep response not started while cell 1 ran: %v", err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var env struct{ Hash string }
+	if err := dec.Decode(&env); err != nil || env.Hash != "seed-1" {
+		t.Fatalf("cell 0 not streamed while cell 1 ran: %+v, %v", env, err)
+	}
+	releaseCell1()
+	if err := dec.Decode(&env); err != nil || env.Hash != "seed-2" {
+		t.Fatalf("cell 1 after its release: %+v, %v", env, err)
 	}
 }
 

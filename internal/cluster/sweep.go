@@ -92,7 +92,9 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", sweepContentType)
 	w.Header().Set(SweepCellsHeader, fmt.Sprint(len(cells)))
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	// The controller reaches the connection's Flush through wrapping
+	// writers (the access-log recorder) that a Flusher assertion cannot.
+	rc := http.NewResponseController(w)
 
 	// Scatter under bounded concurrency (sched-style: a fixed worker
 	// budget over an indexed job list, results collected positionally),
@@ -149,9 +151,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		g.reg.Counter("gate.sweep.cells", obs.L("result", "ok")).Inc()
 		w.Write(res.body)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		rc.Flush()
 	}
 	g.reg.Histogram("gate.sweep.us").Observe(uint64(time.Since(start).Microseconds()))
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"whisper/internal/core"
@@ -29,168 +30,30 @@ func AttackNames() []string {
 // `whisper -all`. Each family is one scheduler job booting its own machine
 // from sched.DeriveSeed(rootSeed, family), so a block's bytes depend only on
 // (model, cfg, secret, rootSeed, family): filtering families or changing
-// Exec.Parallel never changes any block that is produced.
+// Exec.Parallel never changes any block that is produced. Every block is
+// RunAttack's on that machine, except md's, which is the multi-byte
+// core.Farm replica leak.
 func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, rootSeed int64, only []string) (string, error) {
-	selected, err := selectAttacks(only)
+	selected, err := SelectAttacks(only)
 	if err != nil {
 		return "", err
 	}
-	want := secret
-	report := func(b *strings.Builder, m *cpu.Machine, name string, res core.LeakResult) {
-		fmt.Fprintf(b, "%s leaked %q\n", name, res.Data)
-		fmt.Fprintf(b, "  throughput %.1f B/s, byte error rate %.1f%%, %d simulated cycles (%.4fs at %.1f GHz)\n",
-			res.Bps, stats.ByteErrorRate(res.Data, want)*100, res.Cycles,
-			m.Seconds(res.Cycles), model.ClockHz/1e9)
-	}
-	runners := map[string]func(ctx context.Context, seed int64) (string, error){
-		"cc": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot(model, cfg, seed)
-			if err != nil {
-				return "", err
-			}
-			defer recycle(k)
-			a, err := core.NewTETCovertChannel(k)
-			if err != nil {
-				return "", err
-			}
-			res, err := a.Transfer(want)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			report(&b, k.Machine(), "TET covert channel", res)
-			return b.String(), nil
-		},
-		"md": func(jctx context.Context, seed int64) (string, error) {
-			// The multi-byte Meltdown leak shards across per-byte machine
-			// replicas (core.Farm); its inner pool shares the run's
-			// parallelism budget.
-			f := &core.Farm{
-				Model: model, Config: cfg, RootSeed: seed,
-				Parallel: ex.Parallel, Ctx: jctx, Obs: ex.Obs,
-			}
-			res, err := f.LeakSecret(want)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "TET-Meltdown (replica farm) leaked %q\n", res.Data)
-			fmt.Fprintf(&b, "  critical path %d simulated cycles (%.1f B/s at %.1f GHz), byte error rate %.1f%%\n",
-				res.Cycles, res.Bps, model.ClockHz/1e9, stats.ByteErrorRate(res.Data, want)*100)
-			return b.String(), nil
-		},
-		"zbl": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot(model, cfg, seed)
-			if err != nil {
-				return "", err
-			}
-			defer recycle(k)
-			k.WriteSecret(want)
-			a, err := core.NewTETZombieload(k)
-			if err != nil {
-				return "", err
-			}
-			res, err := a.Leak(len(want))
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			report(&b, k.Machine(), "TET-Zombieload", res)
-			return b.String(), nil
-		},
-		"rsb": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot(model, cfg, seed)
-			if err != nil {
-				return "", err
-			}
-			defer recycle(k)
-			secretVA := uint64(kernel.UserDataBase + 0x500)
-			pa, ok := k.UserAS().Translate(secretVA)
-			if !ok {
-				return "", fmt.Errorf("secret VA unmapped")
-			}
-			k.Machine().Phys.StoreBytes(pa, want)
-			a, err := core.NewTETRSB(k)
-			if err != nil {
-				return "", err
-			}
-			res, err := a.Leak(secretVA, len(want))
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			report(&b, k.Machine(), "TET-Spectre-RSB", res)
-			return b.String(), nil
-		},
-		"v1": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot(model, cfg, seed)
-			if err != nil {
-				return "", err
-			}
-			defer recycle(k)
-			v1, err := core.NewTETSpectreV1(k)
-			if err != nil {
-				return "", err
-			}
-			pa, ok := k.UserAS().Translate(v1.ArrayVA() + v1.ArrayLen())
-			if !ok {
-				return "", fmt.Errorf("V1 secret region unmapped")
-			}
-			k.Machine().Phys.StoreBytes(pa, want)
-			res, err := v1.Leak(v1.ArrayLen(), len(want))
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			report(&b, k.Machine(), "TET-Spectre-V1 (extension)", res)
-			return b.String(), nil
-		},
-		"kaslr": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot(model, cfg, seed)
-			if err != nil {
-				return "", err
-			}
-			defer recycle(k)
-			a, err := core.NewTETKASLR(k)
-			if err != nil {
-				return "", err
-			}
-			res, err := a.Locate()
-			if err != nil {
-				return "", err
-			}
-			verdict := "WRONG"
-			if res.Base == k.KASLRBase() {
-				verdict = "correct"
-			}
-			return fmt.Sprintf("TET-KASLR recovered base %#x (slot %d) in %.4f s — %s\n",
-				res.Base, res.Slot, res.Seconds, verdict), nil
-		},
-		"smt": func(_ context.Context, seed int64) (string, error) {
-			k, err := boot(model, cfg, seed)
-			if err != nil {
-				return "", err
-			}
-			defer recycle(k)
-			a, err := smt.NewChannel(k, smt.ModeReliable)
-			if err != nil {
-				return "", err
-			}
-			payload := want
-			if len(payload) > 4 {
-				payload = payload[:4]
-			}
-			res, err := a.Transfer(payload)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("SMT covert channel received %q (%.2f B/s, bit error %.1f%%)\n",
-				res.Data, res.Bps, stats.BitErrorRate(res.Data, payload)*100), nil
-		},
+	if selected == nil {
+		selected = attackOrder
 	}
 	jobs := make([]sched.Job[string], 0, len(selected))
 	for _, name := range selected {
-		jobs = append(jobs, sched.Job[string]{Key: name, Run: runners[name]})
+		jobs = append(jobs, sched.Job[string]{Key: name, Run: func(jctx context.Context, seed int64) (string, error) {
+			if name == "md" {
+				return farmMeltdown(jctx, ex, model, cfg, secret, seed)
+			}
+			k, err := boot(model, cfg, seed)
+			if err != nil {
+				return "", err
+			}
+			defer recycle(k)
+			return RunAttack(k, name, secret)
+		}})
 	}
 	outs, err := sched.Map(ex.ctx(), sched.Options{
 		Name: "attacks", Parallel: ex.Parallel, RootSeed: rootSeed, Obs: ex.Obs,
@@ -198,31 +61,150 @@ func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, roo
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	for _, o := range outs {
-		b.WriteString(o)
-	}
-	return b.String(), nil
+	return strings.Join(outs, ""), nil
 }
 
-// selectAttacks validates the filter and returns it in canonical block order.
-func selectAttacks(only []string) ([]string, error) {
-	if len(only) == 0 {
-		return attackOrder, nil
+// farmMeltdown is the suite's md block: the multi-byte Meltdown leak sharded
+// across per-byte machine replicas (core.Farm), whose inner pool shares the
+// run's parallelism budget.
+func farmMeltdown(ctx context.Context, ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, seed int64) (string, error) {
+	f := &core.Farm{
+		Model: model, Config: cfg, RootSeed: seed,
+		Parallel: ex.Parallel, Ctx: ctx, Obs: ex.Obs,
 	}
+	res, err := f.LeakSecret(secret)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("TET-Meltdown (replica farm) leaked %q\n", res.Data) +
+		fmt.Sprintf("  critical path %d simulated cycles (%.1f B/s at %.1f GHz), byte error rate %.1f%%\n",
+			res.Cycles, res.Bps, model.ClockHz/1e9, stats.ByteErrorRate(res.Data, secret)*100), nil
+}
+
+// RunAttack plants secret where the family reads it, runs that family on
+// the booted kernel k, and returns the family's report block. It is the one
+// implementation of every family: `whisper -attack` calls it on the machine
+// it boots itself, and AttackSuite on each cell's machine. k stays the
+// caller's; RunAttack neither recycles nor reboots it.
+func RunAttack(k *kernel.Kernel, family string, secret []byte) (string, error) {
+	m := k.Machine()
+	switch family {
+	case "cc":
+		a, err := core.NewTETCovertChannel(k)
+		if err != nil {
+			return "", err
+		}
+		res, err := a.Transfer(secret)
+		if err != nil {
+			return "", err
+		}
+		return leakReport(m, "TET covert channel", res, secret), nil
+	case "md":
+		k.WriteSecret(secret)
+		a, err := core.NewTETMeltdown(k)
+		if err != nil {
+			return "", err
+		}
+		res, err := a.Leak(k.SecretVA(), len(secret))
+		if err != nil {
+			return "", err
+		}
+		return leakReport(m, "TET-Meltdown", res, secret), nil
+	case "zbl":
+		k.WriteSecret(secret)
+		a, err := core.NewTETZombieload(k)
+		if err != nil {
+			return "", err
+		}
+		res, err := a.Leak(len(secret))
+		if err != nil {
+			return "", err
+		}
+		return leakReport(m, "TET-Zombieload", res, secret), nil
+	case "rsb":
+		secretVA := uint64(kernel.UserDataBase + 0x500)
+		pa, ok := k.UserAS().Translate(secretVA)
+		if !ok {
+			return "", fmt.Errorf("secret VA unmapped")
+		}
+		m.Phys.StoreBytes(pa, secret)
+		a, err := core.NewTETRSB(k)
+		if err != nil {
+			return "", err
+		}
+		res, err := a.Leak(secretVA, len(secret))
+		if err != nil {
+			return "", err
+		}
+		return leakReport(m, "TET-Spectre-RSB", res, secret), nil
+	case "v1":
+		v1, err := core.NewTETSpectreV1(k)
+		if err != nil {
+			return "", err
+		}
+		pa, ok := k.UserAS().Translate(v1.ArrayVA() + v1.ArrayLen())
+		if !ok {
+			return "", fmt.Errorf("V1 secret region unmapped")
+		}
+		m.Phys.StoreBytes(pa, secret)
+		res, err := v1.Leak(v1.ArrayLen(), len(secret))
+		if err != nil {
+			return "", err
+		}
+		return leakReport(m, "TET-Spectre-V1 (extension)", res, secret), nil
+	case "kaslr":
+		a, err := core.NewTETKASLR(k)
+		if err != nil {
+			return "", err
+		}
+		res, err := a.Locate()
+		if err != nil {
+			return "", err
+		}
+		verdict := "WRONG"
+		if res.Base == k.KASLRBase() {
+			verdict = "correct"
+		}
+		return fmt.Sprintf("TET-KASLR recovered base %#x (slot %d) in %.4f s — %s\n",
+			res.Base, res.Slot, res.Seconds, verdict), nil
+	case "smt":
+		a, err := smt.NewChannel(k, smt.ModeReliable)
+		if err != nil {
+			return "", err
+		}
+		payload := secret[:min(len(secret), 4)]
+		res, err := a.Transfer(payload)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("SMT covert channel received %q (%.2f B/s, bit error %.1f%%)\n",
+			res.Data, res.Bps, stats.BitErrorRate(res.Data, payload)*100), nil
+	}
+	return "", unknownAttack(family)
+}
+
+// leakReport renders the two-line block of a leak that recovers want.
+func leakReport(m *cpu.Machine, name string, res core.LeakResult, want []byte) string {
+	return fmt.Sprintf("%s leaked %q\n", name, res.Data) +
+		fmt.Sprintf("  throughput %.1f B/s, byte error rate %.1f%%, %d simulated cycles (%.4fs at %.1f GHz)\n",
+			res.Bps, stats.ByteErrorRate(res.Data, want)*100, res.Cycles,
+			m.Seconds(res.Cycles), m.Model.ClockHz/1e9)
+}
+
+// SelectAttacks validates an attack filter and returns it in block order.
+// A nil or empty filter and one naming every family both select the whole
+// suite; SelectAttacks returns nil for it, the one canonical spelling of
+// "every family" that a served request hashes under.
+func SelectAttacks(only []string) ([]string, error) {
 	asked := make(map[string]bool, len(only))
 	for _, name := range only {
-		found := false
-		for _, known := range attackOrder {
-			if name == known {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiments: unknown attack %q (have %v)", name, attackOrder)
+		if !slices.Contains(attackOrder, name) {
+			return nil, unknownAttack(name)
 		}
 		asked[name] = true
+	}
+	if len(asked) == 0 || len(asked) == len(attackOrder) {
+		return nil, nil
 	}
 	var sel []string
 	for _, name := range attackOrder {
@@ -231,4 +213,8 @@ func selectAttacks(only []string) ([]string, error) {
 		}
 	}
 	return sel, nil
+}
+
+func unknownAttack(name string) error {
+	return fmt.Errorf("experiments: unknown attack %q (have %v)", name, attackOrder)
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,8 +33,9 @@ func ReadTraceFile(path string) (*TraceFile, error) {
 }
 
 // ReadSnapshotFile loads a metrics snapshot previously written by
-// WriteMetricsFile, accepting both the JSON and the aligned-text renderings
-// (sniffed from content, not the file name).
+// WriteMetricsFile, accepting the JSON and the aligned-text renderings
+// (sniffed from content, not the file name). Anything else, the Prometheus
+// exposition included, is an error naming the first line it cannot read.
 func ReadSnapshotFile(path string) (Snapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -47,11 +49,12 @@ func ReadSnapshotFile(path string) (Snapshot, error) {
 		}
 		return s, nil
 	}
-	return parseTextSnapshot(strings.NewReader(trimmed))
+	return parseTextSnapshot(path, bytes.NewReader(b))
 }
 
-// parseTextSnapshot reverses Snapshot.WriteText.
-func parseTextSnapshot(r io.Reader) (Snapshot, error) {
+// parseTextSnapshot reverses Snapshot.WriteText. Every non-blank line must be
+// a counter, gauge or histogram line; path names the input in errors.
+func parseTextSnapshot(path string, r io.Reader) (Snapshot, error) {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
 		Gauges:     map[string]float64{},
@@ -59,23 +62,31 @@ func parseTextSnapshot(r io.Reader) (Snapshot, error) {
 	}
 	scan := bufio.NewScanner(r)
 	scan.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	line := 0
+	bad := func(what string) error {
+		return fmt.Errorf("obs: %s:%d: %s: %q", path, line, what, scan.Text())
+	}
 	for scan.Scan() {
+		line++
 		fields := strings.Fields(scan.Text())
-		if len(fields) < 3 {
+		if len(fields) == 0 {
 			continue
+		}
+		if len(fields) < 3 {
+			return Snapshot{}, bad("not a counter, gauge or histogram line")
 		}
 		kind, key := fields[0], fields[1]
 		switch kind {
 		case "counter":
 			v, err := strconv.ParseUint(fields[2], 10, 64)
 			if err != nil {
-				return Snapshot{}, fmt.Errorf("obs: bad counter line %q", scan.Text())
+				return Snapshot{}, bad("bad counter line")
 			}
 			s.Counters[key] = v
 		case "gauge":
 			v, err := strconv.ParseFloat(fields[2], 64)
 			if err != nil {
-				return Snapshot{}, fmt.Errorf("obs: bad gauge line %q", scan.Text())
+				return Snapshot{}, bad("bad gauge line")
 			}
 			s.Gauges[key] = v
 		case "histogram":
@@ -87,7 +98,7 @@ func parseTextSnapshot(r io.Reader) (Snapshot, error) {
 				}
 				v, err := strconv.ParseUint(kv[eq+1:], 10, 64)
 				if err != nil {
-					return Snapshot{}, fmt.Errorf("obs: bad histogram line %q", scan.Text())
+					return Snapshot{}, bad("bad histogram line")
 				}
 				switch kv[:eq] {
 				case "n":
@@ -107,6 +118,8 @@ func parseTextSnapshot(r io.Reader) (Snapshot, error) {
 				}
 			}
 			s.Histograms[key] = h
+		default:
+			return Snapshot{}, bad("not a counter, gauge or histogram line")
 		}
 	}
 	return s, scan.Err()
@@ -131,10 +144,12 @@ type RequestStat struct {
 
 // RunReport is the joined offline view of one run's artifacts.
 type RunReport struct {
+	// Trace-derived sections; zero-valued when no trace was supplied.
 	Phases   []PhaseStat
 	Requests []RequestStat
 	UopCount int
 	PMUSamps int
+	HasTrace bool
 
 	// Metrics-derived sections; zero-valued when no snapshot was supplied.
 	CacheHits      map[string]uint64 // tier → hits
@@ -146,8 +161,8 @@ type RunReport struct {
 	HasMetrics     bool
 }
 
-// BuildRunReport joins a trace with an optional metrics snapshot (nil snap
-// means trace-only).
+// BuildRunReport joins an optional trace with an optional metrics snapshot
+// (nil tf means metrics-only, nil snap trace-only).
 func BuildRunReport(tf *TraceFile, snap *Snapshot) *RunReport {
 	rep := &RunReport{
 		CacheHits:      map[string]uint64{},
@@ -157,7 +172,12 @@ func BuildRunReport(tf *TraceFile, snap *Snapshot) *RunReport {
 	}
 	phases := map[string]*PhaseStat{}
 	requests := map[string]*RequestStat{}
-	for _, ev := range tf.TraceEvents {
+	var events []TraceEvent
+	if tf != nil {
+		rep.HasTrace = true
+		events = tf.TraceEvents
+	}
+	for _, ev := range events {
 		switch {
 		case ev.Cat == "span":
 			key := fmt.Sprintf("%s/%d", ev.Name, ev.PID)
@@ -275,8 +295,10 @@ func (rep *RunReport) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "whisper run report")
 	fmt.Fprintln(bw, "==================")
-	fmt.Fprintf(bw, "span phases: %d   uop records: %d   pmu samples: %d   request ids: %d\n\n",
-		len(rep.Phases), rep.UopCount, rep.PMUSamps, len(rep.Requests))
+	if rep.HasTrace {
+		fmt.Fprintf(bw, "span phases: %d   uop records: %d   pmu samples: %d   request ids: %d\n\n",
+			len(rep.Phases), rep.UopCount, rep.PMUSamps, len(rep.Requests))
+	}
 
 	if len(rep.Phases) > 0 {
 		fmt.Fprintln(bw, "per-phase breakdown (wall stages in µs, sim phases in cycles)")

@@ -94,6 +94,47 @@ func TestRunReportJoinsTraceAndMetrics(t *testing.T) {
 	}
 }
 
+// TestRunReportMetricsOnly is obsreport's metrics-only mode (-metrics
+// without -trace): the report carries the snapshot's sections and no trace
+// summary.
+func TestRunReportMetricsOnly(t *testing.T) {
+	r := reportRegistry("x")
+	for _, name := range []string{"run.metrics.json", "run.metrics.txt"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := r.WriteMetricsFile(path); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := obs.ReadSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := obs.BuildRunReport(nil, &snap).WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.Contains(out, "75.0% hit ratio") || !strings.Contains(out, "reuse") {
+			t.Fatalf("%s: metrics sections missing:\n%s", name, out)
+		}
+		if strings.Contains(out, "span phases") {
+			t.Fatalf("%s: trace summary printed without a trace:\n%s", name, out)
+		}
+	}
+}
+
+// TestReadSnapshotFileRejectsProm checks a Prometheus exposition is refused,
+// naming the file and the line, instead of read as an empty snapshot.
+func TestReadSnapshotFileRejectsProm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.prom")
+	if err := reportRegistry("x").WriteMetricsFile(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := obs.ReadSnapshotFile(path)
+	if err == nil || !strings.Contains(err.Error(), path+":1:") {
+		t.Fatalf("ReadSnapshotFile(%s) = %v, want an error naming the file and line 1", path, err)
+	}
+}
+
 // TestReadSnapshotFileTextRoundTrip pins that the aligned-text rendering a
 // -metrics-out run writes by default parses back into the same numbers.
 func TestReadSnapshotFileTextRoundTrip(t *testing.T) {

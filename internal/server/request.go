@@ -56,12 +56,11 @@ type Request struct {
 	Docker  bool     `json:"docker,omitempty"`
 }
 
-// Default values for the attack-shaped experiments, matching cmd/whisper's
-// flag defaults.
+// Default values for the attack-shaped experiments; cmd/whisper's -cpu,
+// -secret and -seed flags default to them too.
 const (
-	DefaultCPU    = "Kaby Lake"
-	DefaultSecret = "squeamish ossifrage"
-	// DefaultAttackSeed matches cmd/whisper's -seed default.
+	DefaultCPU        = "Kaby Lake"
+	DefaultSecret     = "squeamish ossifrage"
 	DefaultAttackSeed = 1
 )
 
@@ -128,14 +127,12 @@ func (r Request) Normalize() (Request, error) {
 		}
 		if r.Experiment == "leak" {
 			r.Attacks = nil // the leak is one fixed attack
-		} else if len(r.Attacks) > 0 {
-			sel, err := canonicalAttacks(r.Attacks)
+		} else {
+			sel, err := experiments.SelectAttacks(r.Attacks)
 			if err != nil {
 				return Request{}, err
 			}
 			r.Attacks = sel
-		} else {
-			r.Attacks = nil
 		}
 		r.ThroughputBytes, r.KASLRReps, r.Fig1bBatches = 0, 0, 0
 	} else {
@@ -161,36 +158,6 @@ func (r Request) Normalize() (Request, error) {
 		r.KPTI, r.FLARE, r.Docker = false, false, false
 	}
 	return r, nil
-}
-
-// canonicalAttacks validates and orders an attack filter; a filter naming
-// every family canonicalizes to nil (the "all" spelling).
-func canonicalAttacks(names []string) ([]string, error) {
-	all := experiments.AttackNames()
-	asked := make(map[string]bool, len(names))
-	for _, name := range names {
-		ok := false
-		for _, known := range all {
-			if name == known {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("server: unknown attack %q (have %v)", name, all)
-		}
-		asked[name] = true
-	}
-	if len(asked) == len(all) {
-		return nil, nil
-	}
-	sel := make([]string, 0, len(asked))
-	for _, name := range all {
-		if asked[name] {
-			sel = append(sel, name)
-		}
-	}
-	return sel, nil
 }
 
 // ModelByName resolves a CPU model by microarchitecture or full name,
