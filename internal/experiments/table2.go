@@ -46,130 +46,136 @@ func DefaultTable2Params() Table2Params {
 // Working attacks measure ≤ a few percent; broken ones sit near 100 %.
 const successThreshold = 0.25
 
-// Table2 runs every attack on every Table 2 model. Each model is one
-// scheduler cell: the five machines a row boots are independent of every
-// other row's, so rows run concurrently and collect in model order.
+// Table2 runs every attack on every Table 2 model. Each (model, attack)
+// pair is one scheduler cell on a machine of its own, so no worker waits on
+// another model's row. Cells are submitted row-major, the order a serial
+// loop meets them, so the reported error is the one that loop would hit
+// first; each cell fills only its own columns of its model's row.
 func Table2(ex Exec, params Table2Params, seed int64) ([]Table2Row, error) {
 	models := cpu.AllModels()
-	jobs := make([]sched.Job[Table2Row], len(models))
+	rows := make([]Table2Row, len(models))
+	jobs := make([]sched.Job[struct{}], 0, len(models)*len(table2Attacks))
 	for i, model := range models {
-		model := model
-		jobs[i] = sched.Job[Table2Row]{
-			Key: model.Name,
-			Run: func(context.Context, int64) (Table2Row, error) {
-				return table2Row(model, params, seed)
-			},
+		row := &rows[i]
+		row.Model = model
+		for j, a := range table2Attacks {
+			jobs = append(jobs, sched.Job[struct{}]{
+				Key: model.Name + "/" + a.name,
+				Run: func(context.Context, int64) (struct{}, error) {
+					k, err := boot(model, kernel.Config{KASLR: true}, seed+int64(j))
+					if err != nil {
+						return struct{}{}, err
+					}
+					defer recycle(k)
+					if err := a.run(k, params, row); err != nil {
+						return struct{}{}, fmt.Errorf("table2 %s %s: %w", model.Name, a.name, err)
+					}
+					return struct{}{}, nil
+				},
+			})
 		}
 	}
-	return sched.Map(ex.ctx(), ex.opts("table2", seed), jobs)
+	if _, err := sched.Map(ex.ctx(), ex.opts("table2", seed), jobs); err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
-// table2Row runs the five attack families on one model. The per-attack seed
-// offsets (seed..seed+4) predate the scheduler and are kept verbatim so a
-// sweep's output matches the original serial implementation byte for byte.
-func table2Row(model cpu.Model, params Table2Params, seed int64) (Table2Row, error) {
-	secret := []byte("Whisper: timing the transient execution!")
-	row := Table2Row{Model: model}
-	fail := func(err error) (Table2Row, error) { return Table2Row{}, err }
+// table2Attacks are Table 2's attack columns in row order. Each runs on a
+// fresh machine, so one attack's microarchitectural residue cannot help
+// another; attack j boots from seed+j, the offsets of the original serial
+// implementation, so a sweep's output matches it byte for byte.
+var table2Attacks = []struct {
+	name string
+	run  func(k *kernel.Kernel, params Table2Params, row *Table2Row) error
+}{
+	{"CC", table2CC},
+	{"MD", table2MD},
+	{"ZBL", table2ZBL},
+	{"RSB", table2RSB},
+	{"KASLR", table2KASLR},
+}
 
-	// Fresh machine per attack family so one attack's microarchitectural
-	// residue cannot help another.
-	{
-		k, err := boot(model, kernel.Config{KASLR: true}, seed)
-		if err != nil {
-			return fail(err)
-		}
-		defer recycle(k)
-		cc, err := core.NewTETCovertChannel(k)
-		if err != nil {
-			return fail(err)
-		}
-		payload := secret[:params.CCBytes]
-		res, err := cc.Transfer(payload)
-		if err != nil {
-			return fail(fmt.Errorf("table2 %s CC: %w", model.Name, err))
-		}
-		row.ErrCC = stats.ByteErrorRate(res.Data, payload)
-		row.CC = row.ErrCC <= successThreshold
+// table2Secret is the payload the leak attacks recover.
+var table2Secret = []byte("Whisper: timing the transient execution!")
+
+func table2CC(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
+	cc, err := core.NewTETCovertChannel(k)
+	if err != nil {
+		return err
 	}
-	{
-		k, err := boot(model, kernel.Config{KASLR: true}, seed+1)
-		if err != nil {
-			return fail(err)
-		}
-		defer recycle(k)
-		k.WriteSecret(secret)
-		md, err := NewQuickMD(k)
-		if err != nil {
-			return fail(err)
-		}
-		res, err := md.Leak(k.SecretVA(), params.MDBytes)
-		if err != nil {
-			return fail(fmt.Errorf("table2 %s MD: %w", model.Name, err))
-		}
-		row.ErrMD = stats.ByteErrorRate(res.Data, secret[:params.MDBytes])
-		row.MD = row.ErrMD <= successThreshold
+	payload := table2Secret[:params.CCBytes]
+	res, err := cc.Transfer(payload)
+	if err != nil {
+		return err
 	}
-	{
-		k, err := boot(model, kernel.Config{KASLR: true}, seed+2)
-		if err != nil {
-			return fail(err)
-		}
-		defer recycle(k)
-		k.WriteSecret(secret)
-		z, err := core.NewTETZombieload(k)
-		if err != nil {
-			return fail(err)
-		}
-		z.Batches = 3
-		res, err := z.Leak(params.ZBLBytes)
-		if err != nil {
-			return fail(fmt.Errorf("table2 %s ZBL: %w", model.Name, err))
-		}
-		row.ErrZBL = stats.ByteErrorRate(res.Data, secret[:params.ZBLBytes])
-		row.ZBL = row.ErrZBL <= successThreshold
+	row.ErrCC = stats.ByteErrorRate(res.Data, payload)
+	row.CC = row.ErrCC <= successThreshold
+	return nil
+}
+
+func table2MD(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
+	k.WriteSecret(table2Secret)
+	md, err := NewQuickMD(k)
+	if err != nil {
+		return err
 	}
-	{
-		k, err := boot(model, kernel.Config{KASLR: true}, seed+3)
-		if err != nil {
-			return fail(err)
-		}
-		defer recycle(k)
-		m := k.Machine()
-		secretVA := uint64(kernel.UserDataBase + 0x300)
-		pa, _ := k.UserAS().Translate(secretVA)
-		m.Phys.StoreBytes(pa, secret)
-		rsb, err := core.NewTETRSB(k)
-		if err != nil {
-			return fail(err)
-		}
-		rsb.Batches = 2
-		res, err := rsb.Leak(secretVA, params.RSBBytes)
-		if err != nil {
-			return fail(fmt.Errorf("table2 %s RSB: %w", model.Name, err))
-		}
-		row.ErrRSB = stats.ByteErrorRate(res.Data, secret[:params.RSBBytes])
-		row.RSB = row.ErrRSB <= successThreshold
+	res, err := md.Leak(k.SecretVA(), params.MDBytes)
+	if err != nil {
+		return err
 	}
-	{
-		k, err := boot(model, kernel.Config{KASLR: true}, seed+4)
-		if err != nil {
-			return fail(err)
-		}
-		defer recycle(k)
-		ka, err := core.NewTETKASLR(k)
-		if err != nil {
-			return fail(err)
-		}
-		ka.Reps = params.KASLRReps
-		res, err := ka.Locate()
-		if err != nil {
-			return fail(fmt.Errorf("table2 %s KASLR: %w", model.Name, err))
-		}
-		row.KASLR = res.Slot == k.BaseSlot()
-		row.Seconds = res.Seconds
+	row.ErrMD = stats.ByteErrorRate(res.Data, table2Secret[:params.MDBytes])
+	row.MD = row.ErrMD <= successThreshold
+	return nil
+}
+
+func table2ZBL(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
+	k.WriteSecret(table2Secret)
+	z, err := core.NewTETZombieload(k)
+	if err != nil {
+		return err
 	}
-	return row, nil
+	z.Batches = 3
+	res, err := z.Leak(params.ZBLBytes)
+	if err != nil {
+		return err
+	}
+	row.ErrZBL = stats.ByteErrorRate(res.Data, table2Secret[:params.ZBLBytes])
+	row.ZBL = row.ErrZBL <= successThreshold
+	return nil
+}
+
+func table2RSB(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
+	secretVA := uint64(kernel.UserDataBase + 0x300)
+	pa, _ := k.UserAS().Translate(secretVA)
+	k.Machine().Phys.StoreBytes(pa, table2Secret)
+	rsb, err := core.NewTETRSB(k)
+	if err != nil {
+		return err
+	}
+	rsb.Batches = 2
+	res, err := rsb.Leak(secretVA, params.RSBBytes)
+	if err != nil {
+		return err
+	}
+	row.ErrRSB = stats.ByteErrorRate(res.Data, table2Secret[:params.RSBBytes])
+	row.RSB = row.ErrRSB <= successThreshold
+	return nil
+}
+
+func table2KASLR(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
+	ka, err := core.NewTETKASLR(k)
+	if err != nil {
+		return err
+	}
+	ka.Reps = params.KASLRReps
+	res, err := ka.Locate()
+	if err != nil {
+		return err
+	}
+	row.KASLR = res.Slot == k.BaseSlot()
+	row.Seconds = res.Seconds
+	return nil
 }
 
 // NewQuickMD builds a TET-Meltdown with bench-friendly batch count.

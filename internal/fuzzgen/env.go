@@ -88,8 +88,9 @@ func Model() cpu.Model {
 }
 
 // NewPipeline builds a deterministic out-of-order core over the environment,
-// resourced exactly as a Machine built from Model() would be.
-func (e Env) NewPipeline() (*pipeline.Pipeline, error) {
+// resourced exactly as a Machine built from Model() would be, and hands back
+// the PMU it counts into.
+func (e Env) NewPipeline() (*pipeline.Pipeline, *pmu.PMU, error) {
 	hier := mem.NewHierarchy(e.Phys, Model().Hier)
 	return e.newPipeline(hier, mem.NewLFB(10), 1)
 }
@@ -100,29 +101,31 @@ func (e Env) NewPipeline() (*pipeline.Pipeline, error) {
 func (e Env) NewSMTPair() (*pipeline.Pipeline, *pipeline.Pipeline, error) {
 	hier := mem.NewHierarchy(e.Phys, Model().Hier)
 	lfb := mem.NewLFB(10)
-	p0, err := e.newPipeline(hier, lfb, 1)
+	p0, _, err := e.newPipeline(hier, lfb, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	p1, err := e.newPipeline(hier, lfb, 2)
+	p1, _, err := e.newPipeline(hier, lfb, 2)
 	if err != nil {
 		return nil, nil, err
 	}
 	return p0, p1, nil
 }
 
-func (e Env) newPipeline(hier *mem.Hierarchy, lfb *mem.LFB, seed int64) (*pipeline.Pipeline, error) {
+func (e Env) newPipeline(hier *mem.Hierarchy, lfb *mem.LFB, seed int64) (*pipeline.Pipeline, *pmu.PMU, error) {
 	m := Model()
-	return pipeline.New(m.Pipe, pipeline.Resources{
+	bank := pmu.New()
+	p, err := pipeline.New(m.Pipe, pipeline.Resources{
 		Hier: hier,
 		LFB:  lfb,
 		AS:   e.AS,
 		DTLB: tlb.New("dtlb", m.DTLB),
 		ITLB: tlb.New("itlb", m.ITLB),
 		BPU:  bpu.New(m.BPU),
-		PMU:  pmu.New(),
+		PMU:  bank,
 		Rand: rand.New(rand.NewSource(seed)),
 	})
+	return p, bank, err
 }
 
 // InstallEnv maps the difftest layout into a (freshly Reset) machine's

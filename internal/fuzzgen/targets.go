@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/experiments"
 	"whisper/internal/interp"
+	"whisper/internal/isa"
 	"whisper/internal/kernel"
 	"whisper/internal/pipeline"
+	"whisper/internal/pmu"
 	"whisper/internal/server"
 	"whisper/internal/snapshot"
 )
@@ -30,6 +33,11 @@ const (
 // compared register and the whole data region — must match, and the engines
 // must agree on whether the program completes (fault ordering: a fault one
 // engine suppresses and the other doesn't is a divergence).
+//
+// It then checks that the pipeline's skip-ahead is invisible: a third world
+// runs the program cycle by cycle (StepCycle never fast-forwards), twice in
+// a row so warm caches, predictors and the DSB carry into the second pass,
+// and after each pass the pipeline Exec drove must match it exactly.
 func CheckInterpVsPipeline(data []byte) error {
 	spec := GenerateSpec(data)
 
@@ -41,7 +49,7 @@ func CheckInterpVsPipeline(data []byte) error {
 
 	ep := MustEnv()
 	ep.SeedData(spec.MemSeed)
-	pp, err := ep.NewPipeline()
+	pp, pbank, err := ep.NewPipeline()
 	if err != nil {
 		return err
 	}
@@ -68,6 +76,64 @@ func CheckInterpVsPipeline(data []byte) error {
 			if gotMem[j] != wantMem[j] {
 				return fmt.Errorf("memory diverges at +%#x: pipeline %#x, interp %#x", j, gotMem[j], wantMem[j])
 			}
+		}
+	}
+
+	es := MustEnv()
+	es.SeedData(spec.MemSeed)
+	ps, sbank, err := es.NewPipeline()
+	if err != nil {
+		return err
+	}
+	ps.SetSignalHandler(spec.Handler)
+	for pass := 0; pass < 2; pass++ {
+		if pass > 0 {
+			_, perr = pp.Exec(spec.Prog, pipeBudget)
+		}
+		serr := stepExec(ps, spec.Prog, pipeBudget)
+		if err := sameEnd(pp, pbank, perr, ps, sbank, serr); err != nil {
+			return fmt.Errorf("pass %d: skip-ahead diverges from stepping: %w", pass, err)
+		}
+		if !bytes.Equal(ep.DataBytes(), es.DataBytes()) {
+			return fmt.Errorf("pass %d: skip-ahead diverges from stepping: data region differs", pass)
+		}
+	}
+	return nil
+}
+
+// stepExec is Exec without skip-ahead: it arms the program and steps it one
+// cycle at a time until it halts or fails.
+func stepExec(p *pipeline.Pipeline, prog *isa.Program, budget uint64) error {
+	p.BeginExec(prog, budget)
+	for {
+		if halted, err := p.StepCycle(); halted || err != nil {
+			return err
+		}
+	}
+}
+
+// sameEnd compares how two runs of one program ended: whether each failed,
+// the cycle counter, the whole PMU bank, the clear trace and the compared
+// registers.
+func sameEnd(a *pipeline.Pipeline, abank *pmu.PMU, aerr error, b *pipeline.Pipeline, bbank *pmu.PMU, berr error) error {
+	if (aerr != nil) != (berr != nil) {
+		return fmt.Errorf("errors %v vs %v", aerr, berr)
+	}
+	if a.Cycle() != b.Cycle() {
+		return fmt.Errorf("cycle %d vs %d", a.Cycle(), b.Cycle())
+	}
+	ac, bc := abank.Snapshot(), bbank.Snapshot()
+	for e := range ac {
+		if ac[e] != bc[e] {
+			return fmt.Errorf("PMU %v %d vs %d", pmu.Event(e), ac[e], bc[e])
+		}
+	}
+	if !slices.Equal(a.Clears(), b.Clears()) {
+		return fmt.Errorf("clears %v vs %v", a.Clears(), b.Clears())
+	}
+	for _, r := range CompareRegs() {
+		if a.Reg(r) != b.Reg(r) {
+			return fmt.Errorf("reg %v %#x vs %#x", r, a.Reg(r), b.Reg(r))
 		}
 	}
 	return nil

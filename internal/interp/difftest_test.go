@@ -62,7 +62,7 @@ func TestDifferentialResetReuse(t *testing.T) {
 		// Reference world: fresh environment, fresh pipeline.
 		ef := fuzzgen.MustEnv()
 		ef.SeedData(spec.MemSeed)
-		pf, err := ef.NewPipeline()
+		pf, _, err := ef.NewPipeline()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,21 +34,23 @@ func newDSBCache(capacity int) *dsbCache {
 	return &dsbCache{cap: capacity, lines: make([]dsbLine, 0, capacity)}
 }
 
-func (d *dsbCache) contains(lineVA uint64) bool {
-	if d.last < len(d.lines) && d.lines[d.last].va == lineVA {
-		d.tick++
-		d.lines[d.last].tick = d.tick
-		return true
-	}
-	for i := range d.lines {
-		if d.lines[i].va == lineVA {
-			d.tick++
-			d.lines[i].tick = d.tick
-			d.last = i
-			return true
+// hit reports whether lineVA is cached and, if so, marks it used by n
+// consecutive fetch cycles: each would bump the tick, and only the last
+// tick stays on the line.
+func (d *dsbCache) hit(lineVA, n uint64) bool {
+	if d.last >= len(d.lines) || d.lines[d.last].va != lineVA {
+		i := 0
+		for i < len(d.lines) && d.lines[i].va != lineVA {
+			i++
 		}
+		if i == len(d.lines) {
+			return false
+		}
+		d.last = i
 	}
-	return false
+	d.tick += n
+	d.lines[d.last].tick = d.tick
+	return true
 }
 
 func (d *dsbCache) insert(lineVA uint64) {
@@ -103,7 +105,7 @@ func (p *Pipeline) fetch() {
 	// Per-cycle delivery path: DSB if the current line is cached and we are
 	// not in a post-resteer MITE window.
 	lineVA := p.prog.VA(p.fetchIdx) &^ (mem.LineSize - 1)
-	useDSB := p.miteLeft == 0 && p.dsb.contains(lineVA)
+	useDSB := p.miteLeft == 0 && p.dsb.hit(lineVA, 1)
 	width := p.cfg.MITEWidth
 	if useDSB {
 		width = p.cfg.FetchWidth
@@ -149,6 +151,18 @@ func (p *Pipeline) fetch() {
 			p.res.PMU.Inc(pmu.IdqDsbCyclesOK)
 		}
 	}
+}
+
+// spinFetch applies n cycles of fetch into a full IDQ in one go. Such a
+// cycle delivers nothing: it counts one IcFw32 and takes one look at the
+// delivery path — a DSB hit that bumps the line's LRU tick, or one MITE
+// cycle — exactly as n calls of fetch would.
+func (p *Pipeline) spinFetch(n uint64) {
+	lineVA := p.prog.VA(p.fetchIdx) &^ (mem.LineSize - 1)
+	if p.miteLeft > 0 || !p.dsb.hit(lineVA, n) {
+		p.res.PMU.Add(pmu.IdqAllMiteCyclesAnyUops, n)
+	}
+	p.res.PMU.Add(pmu.IcFw32, n)
 }
 
 // fetchLineReady charges ITLB and icache latency when fetch crosses into a

@@ -309,9 +309,10 @@ func (p *Pipeline) step(allowFF bool) error {
 // fetch stall (when fetch is otherwise able to run), a recovery or resteer
 // regime boundary (the per-cycle counter predicates flip there), the head
 // fault's assist completion, and the completion time of any in-flight uop.
-// Within the span the machine provably does nothing: fetch is gated, nothing
-// issues, starts, completes, or retires, so every per-cycle counter predicate
-// is constant and the bulk update is bit-identical to stepping.
+// Within the span nothing issues, starts, completes, or retires, and fetch
+// either is gated or spins against a full IDQ, delivering nothing. So every
+// per-cycle counter predicate is constant, and the bulk update, spinFetch's
+// included, is bit-identical to stepping.
 func (p *Pipeline) skipIdle() bool {
 	if p.halted {
 		return false
@@ -320,13 +321,20 @@ func (p *Pipeline) skipIdle() bool {
 	if horizon <= p.cycle {
 		return false
 	}
-	// Fetch runs (with PMU and DSB-LRU side effects) whenever it is armed and
-	// unstalled — even into a full IDQ — so an active frontend forces a step.
+	// Fetch runs whenever it is armed and unstalled. Into a full IDQ that
+	// issue cannot drain (checked below) it only counts events and bumps the
+	// DSB's LRU tick, which spinFetch applies in bulk; fetch that can deliver
+	// forces a step.
+	fetchSpin := false
 	if p.fetchIdx >= 0 && p.blockedOnRet == nil && p.fetchIdx < p.prog.Len() {
-		if p.cycle >= p.fetchStallUntil {
+		switch {
+		case p.cycle < p.fetchStallUntil:
+			horizon = minU64(horizon, p.fetchStallUntil)
+		case p.idq.Len() < p.cfg.IDQSize:
 			return false
+		default:
+			fetchSpin = true
 		}
-		horizon = minU64(horizon, p.fetchStallUntil)
 	}
 	// Counter regime boundaries.
 	if p.recoveryUntil > p.cycle {
@@ -437,6 +445,9 @@ func (p *Pipeline) skipIdle() bool {
 	}
 	if p.cycle < p.resteerUntil {
 		pm.Add(pmu.IntMiscClearResteerCycles, span)
+	}
+	if fetchSpin {
+		p.spinFetch(span)
 	}
 	p.cycle = horizon
 	return true

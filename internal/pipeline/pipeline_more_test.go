@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"whisper/internal/isa"
@@ -433,5 +434,93 @@ func TestInjectStallFreezesCore(t *testing.T) {
 	stalled := run(500)
 	if stalled < base+490 {
 		t.Fatalf("InjectStall ineffective: base=%d stalled=%d", base, stalled)
+	}
+}
+
+// TestFullIDQSpinSkipMatchesStepping pins skip-ahead across a fetch spin:
+// an lfence behind a DRAM load blocks issue, fetch runs into the full IDQ,
+// and Exec fast-forwards what StepCycle runs cycle by cycle. Both must leave
+// the same PMU bank and the same DSB — lines, LRU ticks and the last-hit
+// memo. One case spins on a DSB hit, which bumps the line's LRU tick every
+// cycle; the other on the MITE path right after a resteer, with miteLeft > 0.
+func TestFullIDQSpinSkipMatchesStepping(t *testing.T) {
+	spinBody := func(bb *isa.Builder) *isa.Program {
+		return bb.MovImm(isa.RBX, dataBase).
+			Clflush(isa.RBX, 0).
+			Mfence().
+			LoadQ(isa.RAX, isa.RBX, 0).
+			Lfence().
+			NopSled(100).
+			Halt().
+			MustAssemble()
+	}
+	for _, c := range []struct {
+		name    string
+		mite    bool
+		prog    *isa.Program
+		handler int
+	}{
+		{"DSB hit", false, spinBody(b()), -1},
+		{
+			// A signal-suppressed fault resteers fetch to the handler at
+			// index 3, where spinBody starts; a MITE window longer than
+			// the IDQ keeps the spin on MITE.
+			"MITE after resteer", true,
+			spinBody(b().MovImm(isa.R8, unmappedVA).LoadQ(isa.RCX, isa.R8, 0).Halt()),
+			3,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			newCore := func() *env {
+				e := newEnv(t, func(cfg *Config) { cfg.MITEResteer = 256 })
+				e.p.SetSignalHandler(c.handler)
+				return e
+			}
+			// Two runs each: the first warms the icache, so in the second
+			// only the flushed load is slow and the IDQ fills behind it.
+			fast, stepped := newCore(), newCore()
+			spins := 0
+			for run := 0; run < 2; run++ {
+				fast.run(c.prog)
+				stepped.p.BeginExec(c.prog, 2_000_000)
+				for {
+					full := stepped.p.idq.Len() == stepped.p.cfg.IDQSize
+					fw := stepped.pm.Read(pmu.IcFw32)
+					done, err := stepped.p.StepCycle()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if done {
+						break
+					}
+					// A spin cycle: fetch ran and the IDQ stayed full.
+					if full && stepped.p.idq.Len() == stepped.p.cfg.IDQSize && stepped.pm.Read(pmu.IcFw32) > fw {
+						if (stepped.p.miteLeft > 0) != c.mite {
+							t.Fatalf("spin at cycle %d with miteLeft %d", stepped.p.cycle, stepped.p.miteLeft)
+						}
+						spins++
+					}
+				}
+			}
+			if spins < 50 {
+				t.Fatalf("only %d full-IDQ spin cycles; the program no longer exercises the skip", spins)
+			}
+
+			if fast.p.Cycle() != stepped.p.Cycle() {
+				t.Fatalf("cycle %d (Exec) vs %d (stepped)", fast.p.Cycle(), stepped.p.Cycle())
+			}
+			if got, want := fast.pm.Snapshot(), stepped.pm.Snapshot(); got != want {
+				for ev := range got {
+					if got[ev] != want[ev] {
+						t.Errorf("PMU %v: %d (Exec) vs %d (stepped)", pmu.Event(ev), got[ev], want[ev])
+					}
+				}
+			}
+			fd, sd := fast.p.dsb, stepped.p.dsb
+			if !slices.Equal(fd.lines, sd.lines) || fd.tick != sd.tick || fd.last != sd.last {
+				t.Errorf("DSB diverges:\n Exec    %+v tick %d last %d\n stepped %+v tick %d last %d",
+					fd.lines, fd.tick, fd.last, sd.lines, sd.tick, sd.last)
+			}
+		})
 	}
 }

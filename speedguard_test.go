@@ -130,6 +130,50 @@ func TestInvariantCheckerFreeWhenDetached(t *testing.T) {
 	}
 }
 
+// TestRSBProbeStepBudget is a host-independent speed guard for Table 2's
+// most expensive attack. The TET-RSB gadget's wrong path fills the IDQ
+// behind an lfence while a flushed return address loads, and fetch spins
+// into the full queue for most of the window; skip-ahead fast-forwards that
+// spin, so one probe needs about 40 step passes (InvariantChecker.Checks())
+// instead of about 244. The budget of 60 trips when the skip rule is lost,
+// with no wall-clock threshold.
+func TestRSBProbeStepBudget(t *testing.T) {
+	const probes = 24 + 256 // LeakByte's warm-up plus one test value per byte
+	const budget = 60       // step passes per probe
+	secret := []byte("Whisper: timing the transient execution!")
+	for _, model := range cpu.AllModels() {
+		m, err := cpu.NewMachine(model, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := kernel.Boot(m, kernel.Config{KASLR: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		secretVA := uint64(kernel.UserDataBase + 0x300)
+		pa, _ := k.UserAS().Translate(secretVA)
+		m.Phys.StoreBytes(pa, secret)
+		rsb, err := core.NewTETRSB(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := pipeline.NewInvariantChecker()
+		m.Pipe.SetInvariantChecker(inv)
+		if _, err := rsb.LeakByte(secretVA); err != nil {
+			t.Fatalf("%s: %v", model.Name, err)
+		}
+		if err := inv.Err(); err != nil {
+			t.Fatalf("%s: %v", model.Name, err)
+		}
+		perProbe := float64(inv.Checks()) / probes
+		t.Logf("%s: %.1f step passes per RSB probe", model.Name, perProbe)
+		if perProbe > budget {
+			t.Errorf("%s: %.1f step passes per RSB probe, budget %d — the full-IDQ fetch spin is being stepped cycle by cycle",
+				model.Name, perProbe, budget)
+		}
+	}
+}
+
 // TestServeLogDisabledZeroAlloc pins the structured-logging contract on the
 // hot serve path: with no logger on the context (logging disabled — the
 // default for every direct CLI run), the guarded-log idiom used across
