@@ -702,12 +702,11 @@ func BenchmarkRecoveryDebtAblation(b *testing.B) {
 
 // runAllParams is the workload both RunAll benchmarks share, sized so the
 // serial/parallel comparison finishes quickly but still spans every artefact.
-func runAllParams(parallel int) experiments.ReportParams {
-	p := experiments.DefaultReportParams()
+func runAllParams() experiments.SweepParams {
+	p := experiments.DefaultSweepParams()
 	p.ThroughputBytes = 4
 	p.KASLRReps = 3
 	p.Fig1bBatches = 3
-	p.Parallel = parallel
 	return p
 }
 
@@ -715,7 +714,7 @@ func runAllParams(parallel int) experiments.ReportParams {
 // the reference cost the parallel engine is measured against.
 func BenchmarkRunAllSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAll(runAllParams(1)); err != nil {
+		if _, err := experiments.RunAll(experiments.Exec{Parallel: 1}, runAllParams()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -726,7 +725,7 @@ func BenchmarkRunAllSerial(b *testing.B) {
 // delta vs BenchmarkRunAllSerial is scheduler speedup.
 func BenchmarkRunAllParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAll(runAllParams(4)); err != nil {
+		if _, err := experiments.RunAll(experiments.Exec{Parallel: 4}, runAllParams()); err != nil {
 			b.Fatal(err)
 		}
 	}

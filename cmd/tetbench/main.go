@@ -1,6 +1,7 @@
 // Command tetbench regenerates the paper's tables and figures on the
-// simulated machines. Each -exp value corresponds to one artefact of the
-// evaluation; "all" runs everything (see EXPERIMENTS.md for the index).
+// simulated machines. Each -exp value is one artefact of the evaluation, in
+// the order of experiments.Artefacts; "all" runs every one (see
+// EXPERIMENTS.md for the index).
 package main
 
 import (
@@ -18,7 +19,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all|table1|table2|table3|fig1b|fig3|fig4|throughput|kaslr|mitigations|stealth|condfamily|noise")
+		exp      = flag.String("exp", "all", "experiment: all|"+strings.Join(experiments.Artefacts(), "|"))
 		seed     = flag.Int64("seed", experiments.DefaultSeed, "deterministic seed")
 		bytes    = flag.Int("bytes", 32, "payload size for throughput experiments")
 		reps     = flag.Int("reps", 16, "probes per KASLR candidate slot")
@@ -60,15 +61,10 @@ func main() {
 		}
 	}
 
+	p := experiments.DefaultSweepParams()
+	p.Seed, p.ThroughputBytes, p.KASLRReps = *seed, *bytes, *reps
 	if *asJSON {
-		params := experiments.DefaultReportParams()
-		params.Seed = *seed
-		params.ThroughputBytes = *bytes
-		params.KASLRReps = *reps
-		params.Parallel = *parallel
-		params.Ctx = ctx
-		params.Obs = reg
-		report, err := experiments.RunAll(params)
+		report, err := experiments.RunAll(ex, p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tetbench:", err)
 			os.Exit(1)
@@ -81,14 +77,22 @@ func main() {
 		return
 	}
 
-	var names []string // every -exp value run registers, in order
-	run := func(name string, f func() error) {
-		names = append(names, name)
+	names := experiments.Artefacts()
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "tetbench: unknown -exp %q (have all|%s)\n", *exp, strings.Join(names, "|"))
+		os.Exit(2)
+	}
+	// The text plot of Fig. 1b takes more batches than the JSON report.
+	p.Fig1bBatches = 8
+	// Every artefact runs through the sweeps the whisperd daemon serves
+	// (experiments.RunSweep), so the CLI and a daemon response render the
+	// same bytes by construction.
+	for _, name := range names {
 		if *exp != "all" && *exp != name {
-			return
+			continue
 		}
 		sp := reg.StartWallSpan("tetbench." + name)
-		err := f()
+		sr, err := experiments.RunSweep(ex, name, p)
 		if err != nil {
 			sp.Attr("error", err.Error())
 		}
@@ -97,75 +101,33 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tetbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
+		fmt.Println(sr.Rendered)
+		printAgreement(sr.Result)
 		reg.Counter("tetbench.experiments").Inc()
 	}
-
-	run("table1", func() error {
-		fmt.Println(experiments.Table1())
-		return nil
-	})
-	run("table2", func() error {
-		rows, err := experiments.Table2(ex, experiments.DefaultTable2Params(), *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderTable2(rows))
-		if ok, diffs := experiments.Table2Agrees(rows); ok {
-			fmt.Println("all decided cells match the paper")
-		} else {
-			fmt.Println("DEVIATIONS:", diffs)
-		}
-		fmt.Println()
-		return nil
-	})
-	// The generic sweeps run through the same registry the whisperd daemon
-	// serves (experiments.RunSweep), so the CLI and a daemon response render
-	// the same bytes by construction.
-	runSweep := func(name string, p experiments.SweepParams) {
-		run(name, func() error {
-			sr, err := experiments.RunSweep(ex, name, p)
-			if err != nil {
-				return err
-			}
-			fmt.Println(sr.Rendered)
-			return nil
-		})
-	}
-
-	runSweep("table3", experiments.SweepParams{Seed: *seed})
-	runSweep("fig1b", experiments.SweepParams{Seed: *seed, Fig1bBatches: 8})
-	run("fig3", func() error {
-		s, err := experiments.Fig3(*seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderTable3([]experiments.Table3Scene{s}))
-		return nil
-	})
-	runSweep("fig4", experiments.SweepParams{Seed: *seed})
-	runSweep("throughput", experiments.SweepParams{Seed: *seed, ThroughputBytes: *bytes})
-	runSweep("kaslr", experiments.SweepParams{Seed: *seed, KASLRReps: *reps})
-	run("mitigations", func() error {
-		rows, err := experiments.Mitigations(ex, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderMitigations(rows))
-		if ok, diffs := experiments.MitigationsAgree(rows); ok {
-			fmt.Println("all cells match the paper's §6 discussion")
-		} else {
-			fmt.Println("DEVIATIONS:", diffs)
-		}
-		fmt.Println()
-		return nil
-	})
-	runSweep("stealth", experiments.SweepParams{Seed: *seed})
-	runSweep("condfamily", experiments.SweepParams{Seed: *seed})
-	runSweep("noise", experiments.SweepParams{Seed: *seed})
-	if *exp != "all" && !slices.Contains(names, *exp) {
-		// Nothing ran: every step skips an -exp that is not its name.
-		fmt.Fprintf(os.Stderr, "tetbench: unknown -exp %q (have all|%s)\n", *exp, strings.Join(names, "|"))
-		os.Exit(2)
-	}
 	writeOutputs()
+}
+
+// printAgreement prints, under the two artefacts the paper states a matrix
+// for (Table 2 and the §6 mitigations), whether the measurement matches it.
+func printAgreement(result any) {
+	var ok bool
+	var diffs []string
+	var match string
+	switch rows := result.(type) {
+	case []experiments.Table2Row:
+		ok, diffs = experiments.Table2Agrees(rows)
+		match = "all decided cells match the paper"
+	case []experiments.MitigationRow:
+		ok, diffs = experiments.MitigationsAgree(rows)
+		match = "all cells match the paper's §6 discussion"
+	default:
+		return
+	}
+	if ok {
+		fmt.Println(match)
+	} else {
+		fmt.Println("DEVIATIONS:", diffs)
+	}
+	fmt.Println()
 }

@@ -55,9 +55,7 @@ func AttackSuite(ex Exec, model cpu.Model, cfg kernel.Config, secret []byte, roo
 			return RunAttack(k, name, secret)
 		}})
 	}
-	outs, err := sched.Map(ex.ctx(), sched.Options{
-		Name: "attacks", Parallel: ex.Parallel, RootSeed: rootSeed, Obs: ex.Obs,
-	}, jobs)
+	outs, err := sched.Map(ex.ctx(), ex.opts("attacks", rootSeed), jobs)
 	if err != nil {
 		return "", err
 	}

@@ -3,17 +3,17 @@ package experiments
 import (
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"time"
 
 	"whisper/internal/obs/logging"
 )
 
-// SweepParams sizes one sweep invocation. It is the serializable subset of
-// ReportParams: everything that changes a sweep's *result* lives here, while
-// execution knobs that provably do not (worker count, context, telemetry)
-// stay on Exec. That split is what makes sweep results content-addressable —
-// internal/server hashes (sweep name, SweepParams) and nothing else.
+// SweepParams sizes one sweep invocation: everything that changes a sweep's
+// *result* lives here, while execution knobs that provably do not (worker
+// count, context, telemetry) stay on Exec. That split is what makes sweep
+// results content-addressable — internal/server hashes (sweep name,
+// SweepParams) and nothing else.
 type SweepParams struct {
 	Seed            int64 `json:"seed"`
 	ThroughputBytes int   `json:"throughput_bytes,omitempty"`
@@ -21,15 +21,10 @@ type SweepParams struct {
 	Fig1bBatches    int   `json:"fig1b_batches,omitempty"`
 }
 
-// DefaultSweepParams mirrors DefaultReportParams' sizes.
+// DefaultSweepParams returns the bench-friendly sizes zero fields normalize
+// to.
 func DefaultSweepParams() SweepParams {
-	p := DefaultReportParams()
-	return SweepParams{
-		Seed:            p.Seed,
-		ThroughputBytes: p.ThroughputBytes,
-		KASLRReps:       p.KASLRReps,
-		Fig1bBatches:    p.Fig1bBatches,
-	}
+	return SweepParams{Seed: DefaultSeed, ThroughputBytes: 16, KASLRReps: 8, Fig1bBatches: 5}
 }
 
 // Normalize fills zero fields with the defaults, returning the canonical
@@ -60,119 +55,38 @@ type SweepResult struct {
 	Rendered string
 }
 
-// sweepRunner executes one named sweep.
-type sweepRunner func(ex Exec, p SweepParams) (any, string, error)
-
-// sweepRegistry maps every servable sweep to its runner. Each entry returns
-// exactly what the corresponding cmd/tetbench -exp branch computes, so a
-// result fetched by name is the same artefact the CLI regenerates.
-var sweepRegistry = map[string]sweepRunner{
-	"table1": func(Exec, SweepParams) (any, string, error) {
-		t := Table1()
-		return t, t, nil
-	},
-	"table2": func(ex Exec, p SweepParams) (any, string, error) {
-		rows, err := Table2(ex, DefaultTable2Params(), p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, RenderTable2(rows), nil
-	},
-	"table3": func(ex Exec, p SweepParams) (any, string, error) {
-		scenes, err := Table3(ex, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return scenes, RenderTable3(scenes), nil
-	},
-	"fig1b": func(ex Exec, p SweepParams) (any, string, error) {
-		r, err := Fig1b(ex, p.Fig1bBatches, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return r, r.Render(), nil
-	},
-	"fig4": func(ex Exec, p SweepParams) (any, string, error) {
-		pts, err := Fig4(ex, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return pts, RenderFig4(pts), nil
-	},
-	"throughput": func(ex Exec, p SweepParams) (any, string, error) {
-		rows, err := Throughput(ex, p.ThroughputBytes, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, RenderThroughput(rows), nil
-	},
-	"kaslr": func(ex Exec, p SweepParams) (any, string, error) {
-		rows, err := KASLRSuite(ex, p.KASLRReps, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, RenderKASLRSuite(rows), nil
-	},
-	"mitigations": func(ex Exec, p SweepParams) (any, string, error) {
-		rows, err := Mitigations(ex, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, RenderMitigations(rows), nil
-	},
-	"stealth": func(ex Exec, p SweepParams) (any, string, error) {
-		rows, err := Stealth(ex, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, RenderStealth(rows), nil
-	},
-	"condfamily": func(ex Exec, p SweepParams) (any, string, error) {
-		rows, err := CondFamily(ex, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, RenderCondFamily(rows), nil
-	},
-	"noise": func(ex Exec, p SweepParams) (any, string, error) {
-		pts, err := NoiseSweep(ex, p.Seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return pts, RenderNoiseSweep(pts), nil
-	},
-	"report": func(ex Exec, p SweepParams) (any, string, error) {
-		r, err := RunAll(ReportParams{
-			Seed:            p.Seed,
-			ThroughputBytes: p.ThroughputBytes,
-			KASLRReps:       p.KASLRReps,
-			Fig1bBatches:    p.Fig1bBatches,
-			Parallel:        ex.Parallel,
-			Ctx:             ex.Ctx,
-			Obs:             ex.Obs,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		return r, "", nil
-	},
-}
-
-// Sweeps returns every servable sweep name, sorted.
-func Sweeps() []string {
-	names := make([]string, 0, len(sweepRegistry))
-	for name := range sweepRegistry {
-		names = append(names, name)
+// Artefacts returns the name of every artefact of the paper's evaluation,
+// in paper order: the names cmd/tetbench -exp takes.
+func Artefacts() []string {
+	names := make([]string, len(artefacts))
+	for i, a := range artefacts {
+		names[i] = a.name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// RunSweep executes the named sweep with normalized params. The result is a
-// pure function of (name, p.Normalize()): Exec only changes wall-clock.
+// Sweeps returns every servable sweep name, sorted: the artefacts plus
+// "report", RunAll's bundle of them.
+func Sweeps() []string {
+	names := append(Artefacts(), "report")
+	slices.Sort(names)
+	return names
+}
+
+// reportSweep serves RunAll's bundle; it has no text rendering.
+var reportSweep = define("report", RunAll, func(*Report) string { return "" }, nil)
+
+// RunSweep executes the named sweep (an artefact, or "report") with
+// normalized params, returning its result and the text cmd/tetbench prints
+// for it. The result is a pure function of (name, p.Normalize()): Exec only
+// changes wall-clock.
 func RunSweep(ex Exec, name string, p SweepParams) (SweepResult, error) {
-	run, ok := sweepRegistry[name]
-	if !ok {
+	i := slices.IndexFunc(artefacts, func(e artefact) bool { return e.name == name })
+	a := reportSweep
+	switch {
+	case i >= 0:
+		a = artefacts[i]
+	case name != a.name:
 		return SweepResult{}, fmt.Errorf("experiments: unknown sweep %q (have %v)", name, Sweeps())
 	}
 	p = p.Normalize()
@@ -183,7 +97,7 @@ func RunSweep(ex Exec, name string, p SweepParams) (SweepResult, error) {
 			slog.Int("parallel", ex.Parallel))
 	}
 	start := time.Now()
-	res, rendered, err := run(ex, p)
+	res, err := a.run(ex, p)
 	if err != nil {
 		logging.From(ctx).LogAttrs(ctx, slog.LevelError, "sweep failed",
 			slog.String("sweep", name), slog.Int64("seed", p.Seed),
@@ -195,5 +109,5 @@ func RunSweep(ex Exec, name string, p SweepParams) (SweepResult, error) {
 			slog.String("sweep", name), slog.Int64("seed", p.Seed),
 			slog.Duration("dur", time.Since(start)))
 	}
-	return SweepResult{Name: name, Result: res, Rendered: rendered}, nil
+	return SweepResult{Name: name, Result: res, Rendered: a.render(res)}, nil
 }

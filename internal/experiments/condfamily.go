@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -9,7 +8,6 @@ import (
 	"whisper/internal/cpu"
 	"whisper/internal/isa"
 	"whisper/internal/kernel"
-	"whisper/internal/sched"
 	"whisper/internal/stats"
 )
 
@@ -62,35 +60,26 @@ var condNames = map[isa.Cond]string{
 // CondFamily measures the TET signal for every conditional-jump flavour the
 // ISA implements, on the i7-7700. The paper verifies JE/JZ, JNE/JNZ and JC;
 // this sweep covers the whole family. Each flavour boots its own machine
-// from the same seed, so the flavours are independent scheduler cells.
+// from the same seed, so the flavours are independent cells.
 func CondFamily(ex Exec, seed int64) ([]CondRow, error) {
-	var jobs []sched.Job[CondRow]
+	var cells []cell[CondRow]
 	for c := isa.CondE; c <= isa.CondG; c++ {
-		c := c
 		if _, _, _, _, ok := condOperands(c); !ok {
 			continue
 		}
-		jobs = append(jobs, sched.Job[CondRow]{
-			Key: condNames[c],
-			Run: func(context.Context, int64) (CondRow, error) {
-				return condRow(c, seed)
-			},
-		})
+		cells = append(cells, cell[CondRow]{key: condNames[c], model: cpu.I7_7700(),
+			cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: func(k *kernel.Kernel) (CondRow, error) { return condRow(k, c) }})
 	}
-	return sched.Map(ex.ctx(), ex.opts("condfamily", seed), jobs)
+	return runCells(ex, "condfamily", seed, cells)
 }
 
-// condRow measures one conditional-jump flavour on a fresh machine.
-func condRow(c isa.Cond, seed int64) (CondRow, error) {
+// condRow measures one conditional-jump flavour on k.
+func condRow(k *kernel.Kernel, c isa.Cond) (CondRow, error) {
 	trigCx, trigDx, quietCx, quietDx, ok := condOperands(c)
 	if !ok {
 		return CondRow{}, fmt.Errorf("condfamily: no operands for cond %d", c)
 	}
-	k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
-	if err != nil {
-		return CondRow{}, err
-	}
-	defer recycle(k)
 	prog, err := condGadget(c)
 	if err != nil {
 		return CondRow{}, err

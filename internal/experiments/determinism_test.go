@@ -10,12 +10,11 @@ import (
 
 // smallParams keeps the determinism runs fast; the property being pinned is
 // worker-count independence, not workload size.
-func smallParams(parallel int) ReportParams {
-	p := DefaultReportParams()
+func smallParams() SweepParams {
+	p := DefaultSweepParams()
 	p.ThroughputBytes = 4
 	p.KASLRReps = 3
 	p.Fig1bBatches = 3
-	p.Parallel = parallel
 	return p
 }
 
@@ -29,7 +28,7 @@ func TestRunAllParallelByteIdentical(t *testing.T) {
 		t.Skip("three full report runs")
 	}
 	render := func(parallel int) string {
-		r, err := RunAll(smallParams(parallel))
+		r, err := RunAll(Exec{Parallel: parallel}, smallParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +58,7 @@ func TestRunAllParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSeedChangesMeasurementsNotMatrix is the ReportParams.Seed regression
+// TestSeedChangesMeasurementsNotMatrix is the SweepParams.Seed regression
 // test: a non-default seed must actually reach every artefact (different
 // KASLR slots, RDTSC jitter and interrupt schedules, hence different
 // measured ToTE and PMU values) while the paper-facing ✓/✗ conclusions stay

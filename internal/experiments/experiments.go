@@ -2,9 +2,15 @@
 // evaluation on the simulated machines: Fig. 1b (ToTE frequency plot),
 // Table 1 (taxonomy), Table 2 (attack matrix), Table 3 (PMU counters),
 // Fig. 3/4 (frontend and transient-flow analyses), the §4.1 throughput
-// numbers, and the §4.5 KASLR suite. The cmd/ tools and the repository's
-// benchmarks are thin wrappers over this package; EXPERIMENTS.md records
-// paper-vs-measured for each artefact.
+// numbers, the §4.5 KASLR suite and the §6 mitigation matrix.
+//
+// One ordered table (artefacts, in report.go) is the only list of these
+// experiments: RunSweep serves each by name, RunAll bundles ten of them into
+// a Report, and cmd/tetbench prints them all. Every sweep is a list of
+// independent cells, each a measurement on a machine of its own; runCells
+// boots, runs and recycles them on a sched pool. The cmd/ tools and the
+// repository's benchmarks are thin wrappers over this package;
+// EXPERIMENTS.md records paper-vs-measured for each artefact.
 package experiments
 
 import (
@@ -93,6 +99,38 @@ func recycle(k *kernel.Kernel) {
 	if k != nil {
 		machinePool.Put(k.Machine())
 	}
+}
+
+// cell is one independent measurement of a sweep: run on a machine of model,
+// booted with cfg from seed. The seed is fixed by the cell's identity, never
+// by the worker that runs it.
+type cell[T any] struct {
+	key   string
+	model cpu.Model
+	cfg   kernel.Config
+	seed  int64
+	run   func(k *kernel.Kernel) (T, error)
+}
+
+// runCells runs every cell as one job of the sched pool named pool (root
+// seed seed): it boots the cell's machine from the machine pool, runs the
+// cell on it and recycles the machine. Results come back in cell order and
+// a failure reports the lowest-index cell's error, so a sweep's output is
+// byte-identical at any Exec.Parallel.
+func runCells[T any](ex Exec, pool string, seed int64, cells []cell[T]) ([]T, error) {
+	jobs := make([]sched.Job[T], len(cells))
+	for i, c := range cells {
+		jobs[i] = sched.Job[T]{Key: c.key, Run: func(context.Context, int64) (T, error) {
+			k, err := boot(c.model, c.cfg, c.seed)
+			if err != nil {
+				var zero T
+				return zero, err
+			}
+			defer recycle(k)
+			return c.run(k)
+		}}
+	}
+	return sched.Map(ex.ctx(), ex.opts(pool, seed), jobs)
 }
 
 // check marks an outcome with the paper's ✓/✗ glyphs.

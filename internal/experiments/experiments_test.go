@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -93,6 +98,26 @@ func TestFig1bDecodesSecret(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "red box") {
 		t.Fatal("render missing the highlighted region")
+	}
+}
+
+// TestSceneKASLRReportsProbeErrors pins that a probe overrunning its cycle
+// budget fails Table 3's KASLR scene instead of yielding a scene built from
+// partial PMU runs.
+func TestSceneKASLRReportsProbeErrors(t *testing.T) {
+	m, err := cpu.NewMachine(cpu.I9_10980XE(), DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernel.Boot(m, kernel.Config{KASLR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Longer than a TLB eviction plus one probe's cycle budget, so the first
+	// probe overruns it.
+	m.Pipe.InjectStall(2_000_000)
+	if _, err := sceneKASLR(k); err == nil {
+		t.Fatal("sceneKASLR built a scene although its first probe overran its budget")
 	}
 }
 
@@ -261,11 +286,11 @@ func TestRunAllReportJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report")
 	}
-	p := DefaultReportParams()
+	p := DefaultSweepParams()
 	p.ThroughputBytes = 4
 	p.KASLRReps = 3
 	p.Fig1bBatches = 3
-	r, err := RunAll(p)
+	r, err := RunAll(Exec{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +306,74 @@ func TestRunAllReportJSON(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON report missing %q", want)
 		}
+	}
+}
+
+// TestSweepsMatchReport pins that the served sweeps and the report are one
+// set of artefacts: every artefact runs through RunSweep, each bundled one
+// encodes to exactly its Report field, and "report" is RunAll's bundle.
+func TestSweepsMatchReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report plus every sweep")
+	}
+	paperOrder := []string{"table1", "table2", "table3", "fig1b", "fig3", "fig4",
+		"throughput", "kaslr", "mitigations", "stealth", "condfamily", "noise"}
+	if got := Artefacts(); !slices.Equal(got, paperOrder) {
+		t.Fatalf("Artefacts() = %v, want %v", got, paperOrder)
+	}
+	want := append(Artefacts(), "report")
+	sort.Strings(want)
+	if got := Sweeps(); !slices.Equal(got, want) {
+		t.Fatalf("Sweeps() = %v, want %v", got, want)
+	}
+
+	p := DefaultSweepParams()
+	p.ThroughputBytes = 4
+	p.KASLRReps = 3
+	p.Fig1bBatches = 3
+	r, err := RunAll(Exec{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(report, &fields); err != nil {
+		t.Fatal(err)
+	}
+	// The Report field each bundled artefact fills.
+	field := map[string]string{
+		"table2": "Table2", "table3": "Table3", "fig1b": "Fig1b", "fig4": "Fig4",
+		"throughput": "Throughput", "kaslr": "KASLR", "mitigations": "Mitigations",
+		"stealth": "Stealth", "condfamily": "CondFamily", "noise": "NoiseSweep",
+	}
+	for _, name := range append(Artefacts(), "report") {
+		sr, err := RunSweep(Exec{}, name, p)
+		if err != nil {
+			t.Fatalf("RunSweep(%q): %v", name, err)
+		}
+		want := report
+		if name != "report" {
+			f, bundled := field[name]
+			if !bundled {
+				continue
+			}
+			want = fields[f]
+		}
+		got, err := json.Marshal(sr.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("RunSweep(%q) result differs from its slot in the report:\n got %.200s\nwant %.200s", name, got, want)
+		}
+	}
+
+	_, err = RunSweep(Exec{}, "tabel2", p)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(Sweeps())) {
+		t.Fatalf("unknown sweep: err = %v, want one listing %v", err, Sweeps())
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -30,46 +29,41 @@ type fig1bBatch struct {
 }
 
 // Fig1b runs the Figure 1b experiment on the i7-7700. Each batch is an
-// independent scheduler cell on its own machine, seeded by
-// sched.DeriveSeed(seed, "batch/<i>") — the job key, never the worker — so
+// independent cell on its own machine, seeded by
+// sched.DeriveSeed(seed, "batch/<i>") — the cell key, never the worker — so
 // the frequency plot is byte-identical at any Exec.Parallel.
 func Fig1b(ex Exec, batches int, seed int64) (*Fig1bResult, error) {
 	const secret = 'S'
-	jobs := make([]sched.Job[fig1bBatch], batches)
-	for batch := 0; batch < batches; batch++ {
-		jobs[batch] = sched.Job[fig1bBatch]{
-			Key: fmt.Sprintf("batch/%d", batch),
-			Run: func(_ context.Context, bseed int64) (fig1bBatch, error) {
-				k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, bseed)
-				if err != nil {
-					return fig1bBatch{}, err
-				}
-				defer recycle(k)
-				k.WriteSecret([]byte{secret})
-				pr, err := core.NewProber(k.Machine(), core.SuppressTSX, true)
-				if err != nil {
-					return fig1bBatch{}, err
-				}
-				// Warm up the fresh machine's predictor/DSB state.
-				for i := 0; i < 16; i++ {
-					if _, err := pr.Probe(k.SecretVA(), 256, 0); err != nil {
-						return fig1bBatch{}, err
-					}
-				}
-				var out fig1bBatch
-				for tv := 0; tv < 256; tv++ {
-					t, err := pr.Probe(k.SecretVA(), uint64(tv), 0)
-					if err != nil {
-						return fig1bBatch{}, err
-					}
-					out.totes[tv] = t
-				}
-				out.vote = stats.Argmax(out.totes[:])
-				return out, nil
-			},
+	batch := func(k *kernel.Kernel) (fig1bBatch, error) {
+		k.WriteSecret([]byte{secret})
+		pr, err := core.NewProber(k.Machine(), core.SuppressTSX, true)
+		if err != nil {
+			return fig1bBatch{}, err
 		}
+		// Warm up the fresh machine's predictor/DSB state.
+		for i := 0; i < 16; i++ {
+			if _, err := pr.Probe(k.SecretVA(), 256, 0); err != nil {
+				return fig1bBatch{}, err
+			}
+		}
+		var out fig1bBatch
+		for tv := 0; tv < 256; tv++ {
+			t, err := pr.Probe(k.SecretVA(), uint64(tv), 0)
+			if err != nil {
+				return fig1bBatch{}, err
+			}
+			out.totes[tv] = t
+		}
+		out.vote = stats.Argmax(out.totes[:])
+		return out, nil
 	}
-	results, err := sched.Map(ex.ctx(), ex.opts("fig1b", seed), jobs)
+	cells := make([]cell[fig1bBatch], batches)
+	for i := range cells {
+		key := fmt.Sprintf("batch/%d", i)
+		cells[i] = cell[fig1bBatch]{key: key, model: cpu.I7_7700(), cfg: kernel.Config{KASLR: true},
+			seed: sched.DeriveSeed(seed, key), run: batch}
+	}
+	results, err := runCells(ex, "fig1b", seed, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -106,12 +100,22 @@ func (r *Fig1bResult) Render() string {
 // Fig3 reproduces Figure 3's frontend-resteer evidence: the DSB→MITE
 // delivery shift and resteer cycles when the transient Jcc triggers; it is
 // the i7-7700 TET-CC scene of Table 3.
-func Fig3(seed int64) (Table3Scene, error) {
-	return sceneCC(cpu.I7_7700(), seed, []KeyEvent{
-		{Event: "IDQ.DSB_UOPS", PaperA: 119, PaperB: 115, WantDir: -1},
-		{Event: "IDQ.MS_MITE_UOPS", PaperA: 77, PaperB: 97, WantDir: 1},
-		{Event: "INT_MISC.CLEAR_RESTEER_CYCLES", PaperA: 27, PaperB: 39, WantDir: 1},
-	})
+func Fig3(seed int64) (Table3Scene, error) { return fig3(Serial(), seed) }
+
+// fig3 runs Fig3's scene as a one-cell sweep on ex.
+func fig3(ex Exec, seed int64) (Table3Scene, error) {
+	scenes, err := runCells(ex, "fig3", seed, []cell[Table3Scene]{{
+		key: "cc-i7-7700", model: cpu.I7_7700(), cfg: kernel.Config{KASLR: true}, seed: seed,
+		run: sceneCC([]KeyEvent{
+			{Event: "IDQ.DSB_UOPS", PaperA: 119, PaperB: 115, WantDir: -1},
+			{Event: "IDQ.MS_MITE_UOPS", PaperA: 77, PaperB: 97, WantDir: 1},
+			{Event: "INT_MISC.CLEAR_RESTEER_CYCLES", PaperA: 27, PaperB: 39, WantDir: 1},
+		}),
+	}})
+	if err != nil {
+		return Table3Scene{}, err
+	}
+	return scenes[0], nil
 }
 
 // Fig4Point is one fence-distance configuration of the §5.2.5 experiment.
@@ -129,26 +133,17 @@ type Fig4Point struct {
 // fences leave it free running until the rollback (trigger issues fewer).
 func Fig4(ex Exec, seed int64) ([]Fig4Point, error) {
 	sweep := []int{0, 2, 4, 8, 16, 24, 32, 48}
-	jobs := make([]sched.Job[Fig4Point], len(sweep))
+	cells := make([]cell[Fig4Point], len(sweep))
 	for i, nops := range sweep {
-		nops := nops
-		jobs[i] = sched.Job[Fig4Point]{
-			Key: fmt.Sprintf("nops/%d", nops),
-			Run: func(context.Context, int64) (Fig4Point, error) {
-				return fig4Point(nops, seed)
-			},
-		}
+		cells[i] = cell[Fig4Point]{key: fmt.Sprintf("nops/%d", nops), model: cpu.I7_6700(),
+			cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: func(k *kernel.Kernel) (Fig4Point, error) { return fig4Point(k, nops) }}
 	}
-	return sched.Map(ex.ctx(), ex.opts("fig4", seed), jobs)
+	return runCells(ex, "fig4", seed, cells)
 }
 
-// fig4Point measures one fence-distance configuration on a fresh machine.
-func fig4Point(nops int, seed int64) (Fig4Point, error) {
-	k, err := boot(cpu.I7_6700(), kernel.Config{KASLR: true}, seed)
-	if err != nil {
-		return Fig4Point{}, err
-	}
-	defer recycle(k)
+// fig4Point measures one fence-distance configuration on k.
+func fig4Point(k *kernel.Kernel, nops int) (Fig4Point, error) {
 	m := k.Machine()
 	prog, err := fig4Gadget(nops)
 	if err != nil {

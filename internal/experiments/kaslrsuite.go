@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -9,7 +8,6 @@ import (
 	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
-	"whisper/internal/sched"
 )
 
 // KASLRRow is one configuration of the §4.5 evaluation.
@@ -26,41 +24,34 @@ type KASLRRow struct {
 // the cross-CPU rows, the secure-TLB and FGKASLR ablations, and the
 // prefetch-timing baseline with and without FLARE. Every row boots its own
 // machine from the same seed (as the original serial sweep did), so the rows
-// are independent scheduler cells collected in matrix order.
+// are independent cells collected in matrix order.
 func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
-	runTET := func(name string, model cpu.Model, cfg kernel.Config, paperSec float64, note string) (KASLRRow, error) {
-		k, err := boot(model, cfg, seed)
-		if err != nil {
-			return KASLRRow{}, err
+	// tet locates the kernel base with TET-KASLR.
+	tet := func(name string, paperSec float64, note string) func(*kernel.Kernel) (KASLRRow, error) {
+		return func(k *kernel.Kernel) (KASLRRow, error) {
+			a, err := core.NewTETKASLR(k)
+			if err != nil {
+				return KASLRRow{}, err
+			}
+			a.Reps = reps
+			res, err := a.Locate()
+			if err != nil {
+				return KASLRRow{}, err
+			}
+			return KASLRRow{
+				Name:         name,
+				CPU:          k.Machine().Model.Name,
+				Found:        res.Slot == k.BaseSlot(),
+				Seconds:      res.Seconds,
+				PaperSeconds: paperSec,
+				Note:         note,
+			}, nil
 		}
-		defer recycle(k)
-		a, err := core.NewTETKASLR(k)
-		if err != nil {
-			return KASLRRow{}, err
-		}
-		a.Reps = reps
-		res, err := a.Locate()
-		if err != nil {
-			return KASLRRow{}, err
-		}
-		return KASLRRow{
-			Name:         name,
-			CPU:          model.Name,
-			Found:        res.Slot == k.BaseSlot(),
-			Seconds:      res.Seconds,
-			PaperSeconds: paperSec,
-			Note:         note,
-		}, nil
 	}
 
 	// §6.2 software mitigation: FGKASLR. The base is still found; the
 	// code-reuse step (deriving a function from the base) breaks.
-	runFGKASLR := func() (KASLRRow, error) {
-		k, err := boot(cpu.I9_10980XE(), kernel.Config{KASLR: true, FGKASLR: true}, seed)
-		if err != nil {
-			return KASLRRow{}, err
-		}
-		defer recycle(k)
+	fgkaslr := func(k *kernel.Kernel) (KASLRRow, error) {
 		a, err := core.NewTETKASLR(k)
 		if err != nil {
 			return KASLRRow{}, err
@@ -89,32 +80,25 @@ func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
 	}
 
 	// Prefetch-timing baseline (the family FLARE was designed against).
-	runPrefetch := func(name string, cfg kernel.Config, wantDefeated bool) (KASLRRow, error) {
-		k, err := boot(cpu.I9_10980XE(), cfg, seed)
-		if err != nil {
-			return KASLRRow{}, err
+	prefetch := func(name, note string) func(*kernel.Kernel) (KASLRRow, error) {
+		return func(k *kernel.Kernel) (KASLRRow, error) {
+			a, err := baseline.NewPrefetchKASLR(k)
+			if err != nil {
+				return KASLRRow{}, err
+			}
+			a.Reps = reps
+			res, err := a.Locate()
+			if err != nil {
+				return KASLRRow{}, err
+			}
+			return KASLRRow{
+				Name:    name,
+				CPU:     k.Machine().Model.Name,
+				Found:   res.Slot == k.BaseSlot(),
+				Seconds: res.Seconds,
+				Note:    note,
+			}, nil
 		}
-		defer recycle(k)
-		a, err := baseline.NewPrefetchKASLR(k)
-		if err != nil {
-			return KASLRRow{}, err
-		}
-		a.Reps = reps
-		res, err := a.Locate()
-		if err != nil {
-			return KASLRRow{}, err
-		}
-		note := ""
-		if wantDefeated {
-			note = "FLARE defeats prefetch probes; TET survives (§6.1)"
-		}
-		return KASLRRow{
-			Name:    name,
-			CPU:     k.Machine().Model.Name,
-			Found:   res.Slot == k.BaseSlot(),
-			Seconds: res.Seconds,
-			Note:    note,
-		}, nil
 	}
 
 	// §6.3 hardware mitigation ablation: an Intel part whose TLB only fills
@@ -123,40 +107,32 @@ func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
 	secure.Name = "i9-10980XE + secure TLB"
 	secure.Pipe.TLBFillOnFault = false
 
-	tet := func(name string, model cpu.Model, cfg kernel.Config, paperSec float64, note string) func(context.Context, int64) (KASLRRow, error) {
-		return func(context.Context, int64) (KASLRRow, error) {
-			return runTET(name, model, cfg, paperSec, note)
-		}
-	}
-	jobs := []sched.Job[KASLRRow]{
-		{Key: "tet/i9-10980xe", Run: tet("TET-KASLR", cpu.I9_10980XE(),
-			kernel.Config{KASLR: true}, 0.8829, "paper: 0.8829 s (n=3, sigma=0.0036)")},
-		{Key: "tet/i9-10980xe/kpti", Run: tet("TET-KASLR + KPTI", cpu.I9_10980XE(),
-			kernel.Config{KASLR: true, KPTI: true}, 1.0, "paper: trampoline found within 1 s")},
-		{Key: "tet/i9-10980xe/kpti+flare", Run: tet("TET-KASLR + KPTI + FLARE", cpu.I9_10980XE(),
-			kernel.Config{KASLR: true, KPTI: true, FLARE: true}, 0, "bypasses the state-of-the-art defense")},
-		{Key: "tet/i9-10980xe/flare", Run: tet("TET-KASLR + FLARE (no KPTI)", cpu.I9_10980XE(),
-			kernel.Config{KASLR: true, FLARE: true}, 0, "4K-partition eviction spares 2M image entries")},
-		{Key: "tet/i9-10980xe/docker", Run: tet("TET-KASLR in Docker", cpu.I9_10980XE(),
-			kernel.Config{KASLR: true, KPTI: true, Docker: true}, 0, "container namespaces do not help")},
-		{Key: "tet/i7-6700", Run: tet("TET-KASLR", cpu.I7_6700(), kernel.Config{KASLR: true}, 0, "")},
-		{Key: "tet/i7-7700", Run: tet("TET-KASLR", cpu.I7_7700(), kernel.Config{KASLR: true}, 0, "")},
-		{Key: "tet/ryzen-5600g", Run: tet("TET-KASLR", cpu.Ryzen5600G(), kernel.Config{KASLR: true}, 0,
-			"fails: Zen 3 does not fill the TLB on a faulting access")},
-		{Key: "tet/secure-tlb", Run: tet("TET-KASLR vs secure TLB", secure, kernel.Config{KASLR: true}, 0,
-			"fails: fill-on-fault removed (proposed hardware fix)")},
-		{Key: "tet/fgkaslr", Run: func(context.Context, int64) (KASLRRow, error) {
-			return runFGKASLR()
-		}},
-		{Key: "prefetch/kpti", Run: func(context.Context, int64) (KASLRRow, error) {
-			return runPrefetch("prefetch-KASLR (baseline)", kernel.Config{KASLR: true, KPTI: true}, false)
-		}},
-		{Key: "prefetch/kpti+flare", Run: func(context.Context, int64) (KASLRRow, error) {
-			return runPrefetch("prefetch-KASLR + FLARE (baseline)",
-				kernel.Config{KASLR: true, KPTI: true, FLARE: true}, true)
-		}},
-	}
-	return sched.Map(ex.ctx(), ex.opts("kaslr", seed), jobs)
+	i9 := cpu.I9_10980XE()
+	return runCells(ex, "kaslr", seed, []cell[KASLRRow]{
+		{key: "tet/i9-10980xe", model: i9, cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: tet("TET-KASLR", 0.8829, "paper: 0.8829 s (n=3, sigma=0.0036)")},
+		{key: "tet/i9-10980xe/kpti", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true}, seed: seed,
+			run: tet("TET-KASLR + KPTI", 1.0, "paper: trampoline found within 1 s")},
+		{key: "tet/i9-10980xe/kpti+flare", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true, FLARE: true}, seed: seed,
+			run: tet("TET-KASLR + KPTI + FLARE", 0, "bypasses the state-of-the-art defense")},
+		{key: "tet/i9-10980xe/flare", model: i9, cfg: kernel.Config{KASLR: true, FLARE: true}, seed: seed,
+			run: tet("TET-KASLR + FLARE (no KPTI)", 0, "4K-partition eviction spares 2M image entries")},
+		{key: "tet/i9-10980xe/docker", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true, Docker: true}, seed: seed,
+			run: tet("TET-KASLR in Docker", 0, "container namespaces do not help")},
+		{key: "tet/i7-6700", model: cpu.I7_6700(), cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: tet("TET-KASLR", 0, "")},
+		{key: "tet/i7-7700", model: cpu.I7_7700(), cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: tet("TET-KASLR", 0, "")},
+		{key: "tet/ryzen-5600g", model: cpu.Ryzen5600G(), cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: tet("TET-KASLR", 0, "fails: Zen 3 does not fill the TLB on a faulting access")},
+		{key: "tet/secure-tlb", model: secure, cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: tet("TET-KASLR vs secure TLB", 0, "fails: fill-on-fault removed (proposed hardware fix)")},
+		{key: "tet/fgkaslr", model: i9, cfg: kernel.Config{KASLR: true, FGKASLR: true}, seed: seed, run: fgkaslr},
+		{key: "prefetch/kpti", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true}, seed: seed,
+			run: prefetch("prefetch-KASLR (baseline)", "")},
+		{key: "prefetch/kpti+flare", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true, FLARE: true}, seed: seed,
+			run: prefetch("prefetch-KASLR + FLARE (baseline)", "FLARE defeats prefetch probes; TET survives (§6.1)")},
+	})
 }
 
 // RenderKASLRSuite formats the §4.5 matrix.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -10,7 +9,6 @@ import (
 	"whisper/internal/cpu"
 	"whisper/internal/defense"
 	"whisper/internal/kernel"
-	"whisper/internal/sched"
 	"whisper/internal/stats"
 )
 
@@ -32,113 +30,75 @@ var mitSecret = []byte("MITI")
 // attacks but not TET (§6.1); KPTI and VERW-style buffer scrubbing stop
 // TET-MD and TET-ZBL respectively (§6.2); the microcode fix stops both
 // (Table 2's patched parts). Every cell boots its own machine from the same
-// seed, so the cells are independent scheduler jobs collected in matrix
-// order.
+// seed, so the cells are independent and collected in matrix order.
 func Mitigations(ex Exec, seed int64) ([]MitigationRow, error) {
-	runMD := func(defName string, model cpu.Model, cfg kernel.Config, note string) (MitigationRow, error) {
-		k, err := boot(model, cfg, seed)
-		if err != nil {
-			return MitigationRow{}, err
+	// leak plants mitSecret, runs attack's leak of it under defense def and
+	// records whether the attack still recovers it.
+	leak := func(def, attack, note string, run func(*kernel.Kernel) (core.LeakResult, error)) func(*kernel.Kernel) (MitigationRow, error) {
+		return func(k *kernel.Kernel) (MitigationRow, error) {
+			k.WriteSecret(mitSecret)
+			res, err := run(k)
+			if err != nil {
+				return MitigationRow{}, err
+			}
+			er := stats.ByteErrorRate(res.Data, mitSecret)
+			return MitigationRow{
+				Defense: def, Attack: attack, Works: er <= successThreshold,
+				ErrRate: er, Note: note,
+			}, nil
 		}
-		defer recycle(k)
-		k.WriteSecret(mitSecret)
-		md, err := core.NewTETMeltdown(k)
-		if err != nil {
-			return MitigationRow{}, err
-		}
-		md.Batches = 3
-		res, err := md.Leak(k.SecretVA(), len(mitSecret))
-		if err != nil {
-			return MitigationRow{}, err
-		}
-		er := stats.ByteErrorRate(res.Data, mitSecret)
-		return MitigationRow{
-			Defense: defName, Attack: "TET-MD", Works: er <= successThreshold,
-			ErrRate: er, Note: note,
-		}, nil
 	}
-	runFRMD := func(defName string, model cpu.Model, cfg kernel.Config, note string) (MitigationRow, error) {
-		k, err := boot(model, cfg, seed)
-		if err != nil {
-			return MitigationRow{}, err
-		}
-		defer recycle(k)
-		k.WriteSecret(mitSecret)
-		fr, err := baseline.NewMeltdownFR(k)
-		if err != nil {
-			return MitigationRow{}, err
-		}
-		res, err := fr.Leak(k.SecretVA(), len(mitSecret))
-		if err != nil {
-			return MitigationRow{}, err
-		}
-		er := stats.ByteErrorRate(res.Data, mitSecret)
-		return MitigationRow{
-			Defense: defName, Attack: "Meltdown-F+R", Works: er <= successThreshold,
-			ErrRate: er, Note: note,
-		}, nil
+	md := func(def, note string) func(*kernel.Kernel) (MitigationRow, error) {
+		return leak(def, "TET-MD", note, func(k *kernel.Kernel) (core.LeakResult, error) {
+			a, err := core.NewTETMeltdown(k)
+			if err != nil {
+				return core.LeakResult{}, err
+			}
+			a.Batches = 3
+			return a.Leak(k.SecretVA(), len(mitSecret))
+		})
 	}
-	runZBL := func(defName string, cfg kernel.Config, note string) (MitigationRow, error) {
-		k, err := boot(cpu.I7_7700(), cfg, seed)
-		if err != nil {
-			return MitigationRow{}, err
-		}
-		defer recycle(k)
-		k.WriteSecret(mitSecret)
-		z, err := core.NewTETZombieload(k)
-		if err != nil {
-			return MitigationRow{}, err
-		}
-		z.Batches = 3
-		res, err := z.Leak(len(mitSecret))
-		if err != nil {
-			return MitigationRow{}, err
-		}
-		er := stats.ByteErrorRate(res.Data, mitSecret)
-		return MitigationRow{
-			Defense: defName, Attack: "TET-ZBL", Works: er <= successThreshold,
-			ErrRate: er, Note: note,
-		}, nil
+	frmd := func(def, note string) func(*kernel.Kernel) (MitigationRow, error) {
+		return leak(def, "Meltdown-F+R", note, func(k *kernel.Kernel) (core.LeakResult, error) {
+			fr, err := baseline.NewMeltdownFR(k)
+			if err != nil {
+				return core.LeakResult{}, err
+			}
+			return fr.Leak(k.SecretVA(), len(mitSecret))
+		})
+	}
+	zbl := func(def, note string) func(*kernel.Kernel) (MitigationRow, error) {
+		return leak(def, "TET-ZBL", note, func(k *kernel.Kernel) (core.LeakResult, error) {
+			z, err := core.NewTETZombieload(k)
+			if err != nil {
+				return core.LeakResult{}, err
+			}
+			z.Batches = 3
+			return z.Leak(len(mitSecret))
+		})
 	}
 
 	vulnerable := cpu.I7_7700()
 	invisiSpec := cpu.I7_7700()
 	invisiSpec.Pipe.InvisibleSpeculation = true
-
-	md := func(defName string, model cpu.Model, cfg kernel.Config, note string) func(context.Context, int64) (MitigationRow, error) {
-		return func(context.Context, int64) (MitigationRow, error) {
-			return runMD(defName, model, cfg, note)
-		}
-	}
-	frmd := func(defName string, model cpu.Model, cfg kernel.Config, note string) func(context.Context, int64) (MitigationRow, error) {
-		return func(context.Context, int64) (MitigationRow, error) {
-			return runFRMD(defName, model, cfg, note)
-		}
-	}
-	zbl := func(defName string, cfg kernel.Config, note string) func(context.Context, int64) (MitigationRow, error) {
-		return func(context.Context, int64) (MitigationRow, error) {
-			return runZBL(defName, cfg, note)
-		}
-	}
-	jobs := []sched.Job[MitigationRow]{
+	return runCells(ex, "mitigations", seed, []cell[MitigationRow]{
 		// §6.1: cache-centric defenses vs the two Meltdown variants.
-		{Key: "none/md", Run: md("none", vulnerable, kernel.Config{KASLR: true}, "")},
-		{Key: "none/fr-md", Run: frmd("none", vulnerable, kernel.Config{KASLR: true}, "")},
-		{Key: "invisispec/md", Run: md("InvisiSpec", invisiSpec, kernel.Config{KASLR: true},
-			"timing channel unaffected by invisible speculation (§6.1)")},
-		{Key: "invisispec/fr-md", Run: frmd("InvisiSpec", invisiSpec, kernel.Config{KASLR: true},
-			"cache covert channel destroyed: transient fills suppressed")},
+		{key: "none/md", model: vulnerable, cfg: kernel.Config{KASLR: true}, seed: seed, run: md("none", "")},
+		{key: "none/fr-md", model: vulnerable, cfg: kernel.Config{KASLR: true}, seed: seed, run: frmd("none", "")},
+		{key: "invisispec/md", model: invisiSpec, cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: md("InvisiSpec", "timing channel unaffected by invisible speculation (§6.1)")},
+		{key: "invisispec/fr-md", model: invisiSpec, cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: frmd("InvisiSpec", "cache covert channel destroyed: transient fills suppressed")},
 		// §6.2: software mitigations.
-		{Key: "kpti/md", Run: md("KPTI", vulnerable, kernel.Config{KASLR: true, KPTI: true},
-			"secret unmapped in user tables: nothing to forward")},
-		{Key: "none/zbl", Run: zbl("none", kernel.Config{KASLR: true}, "")},
-		{Key: "verw/zbl", Run: zbl("VERW scrub", kernel.Config{KASLR: true, VERW: true},
-			"fill buffers scrubbed on context switch: stale data gone")},
+		{key: "kpti/md", model: vulnerable, cfg: kernel.Config{KASLR: true, KPTI: true}, seed: seed,
+			run: md("KPTI", "secret unmapped in user tables: nothing to forward")},
+		{key: "none/zbl", model: vulnerable, cfg: kernel.Config{KASLR: true}, seed: seed, run: zbl("none", "")},
+		{key: "verw/zbl", model: vulnerable, cfg: kernel.Config{KASLR: true, VERW: true}, seed: seed,
+			run: zbl("VERW scrub", "fill buffers scrubbed on context switch: stale data gone")},
 		// Microcode fix (the Table 2 patched parts).
-		{Key: "ucode/md", Run: md("microcode fix", cpu.I9_10980XE(), kernel.Config{KASLR: true},
-			"faulting loads forward zeros")},
-	}
-	return sched.Map(ex.ctx(), ex.opts("mitigations", seed), jobs)
+		{key: "ucode/md", model: cpu.I9_10980XE(), cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: md("microcode fix", "faulting loads forward zeros")},
+	})
 }
 
 // PaperMitigations is the expected outcome per the paper's §6 discussion.
@@ -193,14 +153,10 @@ type StealthRow struct {
 // stays silent on TET-MD, which retires essentially no missing loads. The
 // two attacks run as independent scheduler cells on their own machines.
 func Stealth(ex Exec, seed int64) ([]StealthRow, error) {
-	jobs := []sched.Job[StealthRow]{
+	kaby, cfg := cpu.I7_7700(), kernel.Config{KASLR: true}
+	return runCells(ex, "stealth", seed, []cell[StealthRow]{
 		// TET-MD under the detector.
-		{Key: "tet-md", Run: func(context.Context, int64) (StealthRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
-			if err != nil {
-				return StealthRow{}, err
-			}
-			defer recycle(k)
+		{key: "tet-md", model: kaby, cfg: cfg, seed: seed, run: func(k *kernel.Kernel) (StealthRow, error) {
 			k.WriteSecret(mitSecret)
 			md, err := core.NewTETMeltdown(k)
 			if err != nil {
@@ -221,12 +177,7 @@ func Stealth(ex Exec, seed int64) ([]StealthRow, error) {
 			}, nil
 		}},
 		// Meltdown-F+R under the detector.
-		{Key: "meltdown-fr", Run: func(context.Context, int64) (StealthRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
-			if err != nil {
-				return StealthRow{}, err
-			}
-			defer recycle(k)
+		{key: "meltdown-fr", model: kaby, cfg: cfg, seed: seed, run: func(k *kernel.Kernel) (StealthRow, error) {
 			k.WriteSecret(mitSecret)
 			fr, err := baseline.NewMeltdownFR(k)
 			if err != nil {
@@ -245,8 +196,7 @@ func Stealth(ex Exec, seed int64) ([]StealthRow, error) {
 				Detected:  det.AlarmRate() > 0.5,
 			}, nil
 		}},
-	}
-	return sched.Map(ex.ctx(), ex.opts("stealth", seed), jobs)
+	})
 }
 
 // RenderStealth formats the detector comparison.

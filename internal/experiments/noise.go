@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
-	"whisper/internal/sched"
 	"whisper/internal/stats"
 )
 
@@ -39,30 +37,21 @@ func NoiseSweep(ex Exec, seed int64) ([]NoisePoint, error) {
 		{3, 21, true},
 		{6, 21, true},
 	}
-	jobs := make([]sched.Job[NoisePoint], len(points))
+	cells := make([]cell[NoisePoint], len(points))
 	for i, pt := range points {
-		pt := pt
-		jobs[i] = sched.Job[NoisePoint]{
-			Key: fmt.Sprintf("sigma/%.1f/batches/%d", pt.sigma, pt.batches),
-			Run: func(context.Context, int64) (NoisePoint, error) {
-				return noisePoint(pt.sigma, pt.batches, pt.mean, seed)
-			},
-		}
+		model := cpu.I7_7700()
+		model.Pipe.NoiseSigma = pt.sigma
+		cells[i] = cell[NoisePoint]{key: fmt.Sprintf("sigma/%.1f/batches/%d", pt.sigma, pt.batches),
+			model: model, cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: func(k *kernel.Kernel) (NoisePoint, error) { return noisePoint(k, pt.sigma, pt.batches, pt.mean) }}
 	}
-	return sched.Map(ex.ctx(), ex.opts("noise", seed), jobs)
+	return runCells(ex, "noise", seed, cells)
 }
 
-// noisePoint measures one (sigma, batches, decoder) operating point on a
-// fresh machine.
-func noisePoint(sigma float64, batches int, mean bool, seed int64) (NoisePoint, error) {
+// noisePoint measures one (sigma, batches, decoder) operating point on k, a
+// machine whose RDTSC jitter is sigma.
+func noisePoint(k *kernel.Kernel, sigma float64, batches int, mean bool) (NoisePoint, error) {
 	secret := []byte("NZ")
-	model := cpu.I7_7700()
-	model.Pipe.NoiseSigma = sigma
-	k, err := boot(model, kernel.Config{KASLR: true}, seed)
-	if err != nil {
-		return NoisePoint{}, err
-	}
-	defer recycle(k)
 	k.WriteSecret(secret)
 	md, err := core.NewTETMeltdown(k)
 	if err != nil {

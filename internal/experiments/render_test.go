@@ -92,7 +92,7 @@ func TestRenderTable3Formatting(t *testing.T) {
 }
 
 func TestDefaultReportParams(t *testing.T) {
-	p := DefaultReportParams()
+	p := DefaultSweepParams()
 	if p.Seed != DefaultSeed || p.KASLRReps <= 0 || p.ThroughputBytes <= 0 || p.Fig1bBatches <= 0 {
 		t.Fatalf("bad defaults: %+v", p)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"whisper/internal/obs"
 	"whisper/internal/sched"
 )
 
@@ -28,133 +27,92 @@ type Report struct {
 	NoiseSweep       []NoisePoint
 }
 
-// ReportParams sizes the full run.
-type ReportParams struct {
-	Seed            int64
-	ThroughputBytes int
-	KASLRReps       int
-	Fig1bBatches    int
-
-	// Parallel is the sched worker count used for the artefact pool and
-	// threaded into every sweep's cell pool; <= 0 means GOMAXPROCS. The
-	// report is byte-identical at every setting.
-	Parallel int
-	// Ctx cancels the run early; nil means Background.
-	Ctx context.Context
-
-	// Obs, when non-nil, receives one wall-time span per experiment stage
-	// plus the scheduler's pool metrics (the machines booted inside each
-	// stage keep their own registries, so stage spans land on the wall-clock
-	// track of the exported trace).
-	Obs *obs.Registry
+// artefact is one experiment of the paper's evaluation: run computes its
+// result from the sweep parameters and render turns that result into the
+// text the CLI prints. fill, set on the artefacts a Report bundles, stores
+// the result in its Report field.
+type artefact struct {
+	name   string
+	run    func(Exec, SweepParams) (any, error)
+	render func(any) string
+	fill   func(*Report, any)
 }
 
-// DefaultReportParams returns bench-friendly sizes.
-func DefaultReportParams() ReportParams {
-	return ReportParams{
-		Seed:            DefaultSeed,
-		ThroughputBytes: 16,
-		KASLRReps:       8,
-		Fig1bBatches:    5,
+// define builds an artefact from functions typed by its result T.
+func define[T any](name string, run func(Exec, SweepParams) (T, error), render func(T) string, fill func(*Report, T)) artefact {
+	a := artefact{
+		name:   name,
+		run:    func(ex Exec, p SweepParams) (any, error) { return run(ex, p) },
+		render: func(v any) string { return render(v.(T)) },
 	}
-}
-
-// Exec resolves the execution knobs shared by every stage.
-func (p ReportParams) Exec() Exec {
-	return Exec{Ctx: p.Ctx, Parallel: p.Parallel, Obs: p.Obs}
-}
-
-// RunAll executes every experiment and returns the bundle. The independent
-// artefacts are themselves scheduler jobs (pool "experiments"), each writing
-// a distinct Report field, so whole stages overlap in addition to the
-// per-cell parallelism inside each sweep; results are applied in stage order
-// and the report is byte-identical at any ReportParams.Parallel.
-func RunAll(p ReportParams) (*Report, error) {
-	ex := p.Exec()
-	r := &Report{Seed: p.Seed}
-	type apply = func(*Report)
-	jobs := []sched.Job[apply]{
-		{Key: "table2", Run: func(context.Context, int64) (apply, error) {
-			rows, err := Table2(ex, DefaultTable2Params(), p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			agrees, devs := Table2Agrees(rows)
-			return func(r *Report) {
-				r.Table2, r.Table2Agrees, r.Table2Deviations = rows, agrees, devs
-			}, nil
-		}},
-		{Key: "table3", Run: func(context.Context, int64) (apply, error) {
-			scenes, err := Table3(ex, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *Report) { r.Table3 = scenes }, nil
-		}},
-		{Key: "fig1b", Run: func(context.Context, int64) (apply, error) {
-			res, err := Fig1b(ex, p.Fig1bBatches, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *Report) { r.Fig1b = res }, nil
-		}},
-		{Key: "fig4", Run: func(context.Context, int64) (apply, error) {
-			pts, err := Fig4(ex, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *Report) { r.Fig4 = pts }, nil
-		}},
-		{Key: "throughput", Run: func(context.Context, int64) (apply, error) {
-			rows, err := Throughput(ex, p.ThroughputBytes, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *Report) { r.Throughput = rows }, nil
-		}},
-		{Key: "kaslr", Run: func(context.Context, int64) (apply, error) {
-			rows, err := KASLRSuite(ex, p.KASLRReps, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *Report) { r.KASLR = rows }, nil
-		}},
-		{Key: "mitigations", Run: func(context.Context, int64) (apply, error) {
-			rows, err := Mitigations(ex, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			agrees, _ := MitigationsAgree(rows)
-			return func(r *Report) { r.Mitigations, r.MitigationsAgree = rows, agrees }, nil
-		}},
-		{Key: "stealth", Run: func(context.Context, int64) (apply, error) {
-			rows, err := Stealth(ex, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *Report) { r.Stealth = rows }, nil
-		}},
-		{Key: "condfamily", Run: func(context.Context, int64) (apply, error) {
-			rows, err := CondFamily(ex, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *Report) { r.CondFamily = rows }, nil
-		}},
-		{Key: "noise", Run: func(context.Context, int64) (apply, error) {
-			pts, err := NoiseSweep(ex, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return func(r *Report) { r.NoiseSweep = pts }, nil
-		}},
+	if fill != nil {
+		a.fill = func(r *Report, v any) { fill(r, v.(T)) }
 	}
-	applies, err := sched.Map(ex.ctx(), ex.opts("experiments", p.Seed), jobs)
+	return a
+}
+
+// artefacts is the paper's evaluation in paper order and the only list of
+// experiments: RunSweep serves each by name, RunAll bundles the ten with a
+// Report field, and cmd/tetbench prints them all.
+var artefacts = []artefact{
+	define("table1", func(Exec, SweepParams) (string, error) { return Table1(), nil },
+		func(t string) string { return t }, nil),
+	define("table2", func(ex Exec, p SweepParams) ([]Table2Row, error) {
+		return Table2(ex, DefaultTable2Params(), p.Seed)
+	}, RenderTable2, func(r *Report, rows []Table2Row) {
+		r.Table2 = rows
+		r.Table2Agrees, r.Table2Deviations = Table2Agrees(rows)
+	}),
+	define("table3", func(ex Exec, p SweepParams) ([]Table3Scene, error) { return Table3(ex, p.Seed) },
+		RenderTable3, func(r *Report, scenes []Table3Scene) { r.Table3 = scenes }),
+	define("fig1b", func(ex Exec, p SweepParams) (*Fig1bResult, error) { return Fig1b(ex, p.Fig1bBatches, p.Seed) },
+		(*Fig1bResult).Render, func(r *Report, res *Fig1bResult) { r.Fig1b = res }),
+	define("fig3", func(ex Exec, p SweepParams) (Table3Scene, error) { return fig3(ex, p.Seed) },
+		func(s Table3Scene) string { return RenderTable3([]Table3Scene{s}) }, nil),
+	define("fig4", func(ex Exec, p SweepParams) ([]Fig4Point, error) { return Fig4(ex, p.Seed) },
+		RenderFig4, func(r *Report, pts []Fig4Point) { r.Fig4 = pts }),
+	define("throughput", func(ex Exec, p SweepParams) ([]ThroughputRow, error) {
+		return Throughput(ex, p.ThroughputBytes, p.Seed)
+	}, RenderThroughput, func(r *Report, rows []ThroughputRow) { r.Throughput = rows }),
+	define("kaslr", func(ex Exec, p SweepParams) ([]KASLRRow, error) { return KASLRSuite(ex, p.KASLRReps, p.Seed) },
+		RenderKASLRSuite, func(r *Report, rows []KASLRRow) { r.KASLR = rows }),
+	define("mitigations", func(ex Exec, p SweepParams) ([]MitigationRow, error) { return Mitigations(ex, p.Seed) },
+		RenderMitigations, func(r *Report, rows []MitigationRow) {
+			r.Mitigations = rows
+			r.MitigationsAgree, _ = MitigationsAgree(rows)
+		}),
+	define("stealth", func(ex Exec, p SweepParams) ([]StealthRow, error) { return Stealth(ex, p.Seed) },
+		RenderStealth, func(r *Report, rows []StealthRow) { r.Stealth = rows }),
+	define("condfamily", func(ex Exec, p SweepParams) ([]CondRow, error) { return CondFamily(ex, p.Seed) },
+		RenderCondFamily, func(r *Report, rows []CondRow) { r.CondFamily = rows }),
+	define("noise", func(ex Exec, p SweepParams) ([]NoisePoint, error) { return NoiseSweep(ex, p.Seed) },
+		RenderNoiseSweep, func(r *Report, pts []NoisePoint) { r.NoiseSweep = pts }),
+}
+
+// RunAll runs every artefact the Report bundles and returns the bundle. The
+// artefacts are themselves jobs of one sched pool ("experiments"), so whole
+// sweeps overlap in addition to the per-cell parallelism inside each; the
+// results fill the Report in table order, so it is byte-identical at any
+// Exec.Parallel. p is used as given; RunSweep("report") normalizes it first.
+func RunAll(ex Exec, p SweepParams) (*Report, error) {
+	var bundled []artefact
+	var jobs []sched.Job[any]
+	for _, a := range artefacts {
+		if a.fill == nil {
+			continue
+		}
+		bundled = append(bundled, a)
+		jobs = append(jobs, sched.Job[any]{Key: a.name, Run: func(context.Context, int64) (any, error) {
+			return a.run(ex, p)
+		}})
+	}
+	results, err := sched.Map(ex.ctx(), ex.opts("experiments", p.Seed), jobs)
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range applies {
-		f(r)
+	r := &Report{Seed: p.Seed}
+	for i, a := range bundled {
+		a.fill(r, results[i])
 	}
 	return r, nil
 }

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
-	"whisper/internal/sched"
 	"whisper/internal/stats"
 )
 
@@ -54,19 +52,14 @@ const successThreshold = 0.25
 func Table2(ex Exec, params Table2Params, seed int64) ([]Table2Row, error) {
 	models := cpu.AllModels()
 	rows := make([]Table2Row, len(models))
-	jobs := make([]sched.Job[struct{}], 0, len(models)*len(table2Attacks))
+	cells := make([]cell[struct{}], 0, len(models)*len(table2Attacks))
 	for i, model := range models {
 		row := &rows[i]
 		row.Model = model
 		for j, a := range table2Attacks {
-			jobs = append(jobs, sched.Job[struct{}]{
-				Key: model.Name + "/" + a.name,
-				Run: func(context.Context, int64) (struct{}, error) {
-					k, err := boot(model, kernel.Config{KASLR: true}, seed+int64(j))
-					if err != nil {
-						return struct{}{}, err
-					}
-					defer recycle(k)
+			cells = append(cells, cell[struct{}]{
+				key: model.Name + "/" + a.name, model: model, cfg: kernel.Config{KASLR: true}, seed: seed + int64(j),
+				run: func(k *kernel.Kernel) (struct{}, error) {
 					if err := a.run(k, params, row); err != nil {
 						return struct{}{}, fmt.Errorf("table2 %s %s: %w", model.Name, a.name, err)
 					}
@@ -75,7 +68,7 @@ func Table2(ex Exec, params Table2Params, seed int64) ([]Table2Row, error) {
 			})
 		}
 	}
-	if _, err := sched.Map(ex.ctx(), ex.opts("table2", seed), jobs); err != nil {
+	if _, err := runCells(ex, "table2", seed, cells); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -116,10 +109,11 @@ func table2CC(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
 
 func table2MD(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
 	k.WriteSecret(table2Secret)
-	md, err := NewQuickMD(k)
+	md, err := core.NewTETMeltdown(k)
 	if err != nil {
 		return err
 	}
+	md.Batches = 3
 	res, err := md.Leak(k.SecretVA(), params.MDBytes)
 	if err != nil {
 		return err
@@ -176,16 +170,6 @@ func table2KASLR(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
 	row.KASLR = res.Slot == k.BaseSlot()
 	row.Seconds = res.Seconds
 	return nil
-}
-
-// NewQuickMD builds a TET-Meltdown with bench-friendly batch count.
-func NewQuickMD(k *kernel.Kernel) (*core.Meltdown, error) {
-	md, err := core.NewTETMeltdown(k)
-	if err != nil {
-		return nil, err
-	}
-	md.Batches = 3
-	return md, nil
 }
 
 // PaperTable2 is the published ✓/✗ matrix ("?" cells are recorded as the

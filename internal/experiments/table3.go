@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -9,7 +8,6 @@ import (
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
 	"whisper/internal/pmu"
-	"whisper/internal/sched"
 )
 
 // Table3Scene is one (CPU, workload) block of the paper's Table 3: the same
@@ -78,101 +76,84 @@ func evaluateKeys(keys []KeyEvent, a, b []pmu.Run) []KeyEvent {
 }
 
 // Table3 runs all four Table 3 scenes and the KASLR DTLB scene. Each scene
-// boots its own machine, so the five scenes are independent scheduler cells;
-// the per-scene seed offsets (seed..seed+4) are the original serial sweep's.
+// boots its own machine, so the five scenes are independent cells; the
+// per-scene seed offsets (seed..seed+4) are the original serial sweep's.
 func Table3(ex Exec, seed int64) ([]Table3Scene, error) {
-	jobs := []sched.Job[Table3Scene]{
+	return runCells(ex, "table3", seed, []cell[Table3Scene]{
 		// Scene: TET-CC on i7-6700 (branch/stall events).
-		{Key: "cc-i7-6700", Run: func(context.Context, int64) (Table3Scene, error) {
-			return sceneCC(cpu.I7_6700(), seed, []KeyEvent{
+		{key: "cc-i7-6700", model: cpu.I7_6700(), cfg: kernel.Config{KASLR: true}, seed: seed,
+			run: sceneCC([]KeyEvent{
 				{Event: "BR_MISP_EXEC.INDIRECT", PaperA: 0, PaperB: 1, WantDir: 1},
 				{Event: "BR_MISP_EXEC.ALL_BRANCHES", PaperA: 0, PaperB: 2, WantDir: 1},
 				{Event: "RESOURCE_STALLS.ANY", PaperA: 15, PaperB: 21, WantDir: 1},
-			})
-		}},
+			})},
 		// Scene: TET-CC on i7-7700 (frontend DSB/MITE shift — also Fig. 3).
-		{Key: "cc-i7-7700", Run: func(context.Context, int64) (Table3Scene, error) {
-			return sceneCC(cpu.I7_7700(), seed+1, []KeyEvent{
+		{key: "cc-i7-7700", model: cpu.I7_7700(), cfg: kernel.Config{KASLR: true}, seed: seed + 1,
+			run: sceneCC([]KeyEvent{
 				{Event: "IDQ.DSB_UOPS", PaperA: 119, PaperB: 115, WantDir: -1},
 				{Event: "IDQ.MS_MITE_UOPS", PaperA: 77, PaperB: 97, WantDir: 1},
 				{Event: "IDQ.ALL_MITE_CYCLES_ANY_UOPS", PaperA: 35, PaperB: 45, WantDir: 1},
 				{Event: "UOPS_EXECUTED.CORE_CYCLES_NONE", PaperA: 110, PaperB: 116, WantDir: 1},
-			})
-		}},
+			})},
 		// Scene: TET-MD on i7-7700 (backend stalls and recovery).
-		{Key: "md-i7-7700", Run: func(context.Context, int64) (Table3Scene, error) {
-			return sceneMD(seed + 2)
-		}},
+		{key: "md-i7-7700", model: cpu.I7_7700(), cfg: kernel.Config{KASLR: true}, seed: seed + 2, run: sceneMD},
 		// Scene: TET-CC on Ryzen 5 5600G (AMD events).
-		{Key: "cc-ryzen-5600g", Run: func(context.Context, int64) (Table3Scene, error) {
-			return sceneCC(cpu.Ryzen5600G(), seed+3, []KeyEvent{
+		{key: "cc-ryzen-5600g", model: cpu.Ryzen5600G(), cfg: kernel.Config{KASLR: true}, seed: seed + 3,
+			run: sceneCC([]KeyEvent{
 				{Event: "de_dis_dispatch_token_stalls2.retire_token_stall", PaperA: 4, PaperB: 84, WantDir: 1},
 				{Event: "de_dis_uop_queue_empty_di0", PaperA: 182, PaperB: 195, WantDir: 1},
 				{Event: "ic_fw32", PaperA: 661, PaperB: 690, WantDir: 1},
-			})
-		}},
+			})},
 		// Scene: TET-KASLR on i9-10980XE (memory-subsystem events,
 		// unmapped vs mapped).
-		{Key: "kaslr-i9-10980xe", Run: func(context.Context, int64) (Table3Scene, error) {
-			return sceneKASLR(seed + 4)
-		}},
-	}
-	return sched.Map(ex.ctx(), ex.opts("table3", seed), jobs)
+		{key: "kaslr-i9-10980xe", model: cpu.I9_10980XE(), cfg: kernel.Config{KASLR: true}, seed: seed + 4,
+			run: sceneKASLR},
+	})
 }
 
 // sceneCC measures the covert-channel probe with the transient Jcc not
-// triggered (A) vs triggered (B).
-func sceneCC(model cpu.Model, seed int64, keys []KeyEvent) (Table3Scene, error) {
-	k, err := boot(model, kernel.Config{KASLR: true}, seed)
-	if err != nil {
-		return Table3Scene{}, err
-	}
-	defer recycle(k)
-	m := k.Machine()
-	pr, err := core.NewProber(m, core.SuppressTSX, false)
-	if err != nil {
-		return Table3Scene{}, err
-	}
-	// Warm up.
-	for i := 0; i < 16; i++ {
-		if _, err := pr.ProbeStable(core.UnmappedVA, false); err != nil {
+// triggered (A) vs triggered (B), evaluating keys.
+func sceneCC(keys []KeyEvent) func(*kernel.Kernel) (Table3Scene, error) {
+	return func(k *kernel.Kernel) (Table3Scene, error) {
+		m := k.Machine()
+		pr, err := core.NewProber(m, core.SuppressTSX, false)
+		if err != nil {
 			return Table3Scene{}, err
 		}
-	}
-	var probeErr error
-	runA := pmu.Collect(m.PMU, table3Runs, func() {
-		if _, err := pr.ProbeStable(core.UnmappedVA, false); err != nil {
-			probeErr = err
+		// Warm up.
+		for i := 0; i < 16; i++ {
+			if _, err := pr.ProbeStable(core.UnmappedVA, false); err != nil {
+				return Table3Scene{}, err
+			}
 		}
-	})
-	runB := pmu.Collect(m.PMU, table3Runs, func() {
-		if _, err := pr.ProbeStable(core.UnmappedVA, true); err != nil {
-			probeErr = err
+		var probeErr error
+		runA := pmu.Collect(m.PMU, table3Runs, func() {
+			if _, err := pr.ProbeStable(core.UnmappedVA, false); err != nil {
+				probeErr = err
+			}
+		})
+		runB := pmu.Collect(m.PMU, table3Runs, func() {
+			if _, err := pr.ProbeStable(core.UnmappedVA, true); err != nil {
+				probeErr = err
+			}
+		})
+		if probeErr != nil {
+			return Table3Scene{}, probeErr
 		}
-	})
-	if probeErr != nil {
-		return Table3Scene{}, probeErr
+		return Table3Scene{
+			Name:      "TET-CC",
+			CPU:       m.Model.Name,
+			LabelA:    "Jcc not trigger",
+			LabelB:    "Jcc trigger",
+			Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(m.Model.Vendor), 3.0),
+			KeyEvents: evaluateKeys(keys, runA, runB),
+		}, nil
 	}
-	events := pmu.EventsForVendor(model.Vendor)
-	return Table3Scene{
-		Name:      "TET-CC",
-		CPU:       model.Name,
-		LabelA:    "Jcc not trigger",
-		LabelB:    "Jcc trigger",
-		Diffs:     pmu.Differential(runA, runB, events, 3.0),
-		KeyEvents: evaluateKeys(keys, runA, runB),
-	}, nil
 }
 
 // sceneMD measures the TET-MD probe with a non-matching (A) vs matching (B)
-// test value on the i7-7700.
-func sceneMD(seed int64) (Table3Scene, error) {
-	model := cpu.I7_7700()
-	k, err := boot(model, kernel.Config{KASLR: true}, seed)
-	if err != nil {
-		return Table3Scene{}, err
-	}
-	defer recycle(k)
+// test value.
+func sceneMD(k *kernel.Kernel) (Table3Scene, error) {
 	secret := byte('S')
 	k.WriteSecret([]byte{secret})
 	m := k.Machine()
@@ -219,24 +200,18 @@ func sceneMD(seed int64) (Table3Scene, error) {
 	}
 	return Table3Scene{
 		Name:      "TET-MD",
-		CPU:       model.Name,
+		CPU:       m.Model.Name,
 		LabelA:    "Jcc not trigger",
 		LabelB:    "Jcc trigger",
-		Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(model.Vendor), 3.0),
+		Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(m.Model.Vendor), 3.0),
 		KeyEvents: evaluateKeys(keys, runA, runB),
 	}, nil
 }
 
 // sceneKASLR measures the KASLR probe's DTLB behaviour: unmapped (A) vs
-// mapped (B) targets on the i9-10980XE, each probe preceded by a TLB
-// eviction and a warm probe (the attack's steady state).
-func sceneKASLR(seed int64) (Table3Scene, error) {
-	model := cpu.I9_10980XE()
-	k, err := boot(model, kernel.Config{KASLR: true}, seed)
-	if err != nil {
-		return Table3Scene{}, err
-	}
-	defer recycle(k)
+// mapped (B) targets, each probe preceded by a TLB eviction and a warm probe
+// (the attack's steady state).
+func sceneKASLR(k *kernel.Kernel) (Table3Scene, error) {
 	m := k.Machine()
 	pr, err := core.NewProber(m, core.SuppressTSX, true)
 	if err != nil {
@@ -244,31 +219,35 @@ func sceneKASLR(seed int64) (Table3Scene, error) {
 	}
 	mapped := k.KASLRBase()
 	unmapped := k.ProbeTarget((k.BaseSlot() + kernel.ImageSlots + 7) % kernel.NumSlots)
-	probe := func(target uint64) error {
-		_, err := pr.Probe(target, 256, 0)
-		return err
-	}
+	var probeErr error
 	measure := func(target uint64) []pmu.Run {
 		return pmu.Collect(m.PMU, table3Runs, func() {
 			k.EvictTLB()
-			if err := probe(target); err != nil { // warm: fills TLB iff mapped
-				return
+			// The warm probe fills the TLB iff target is mapped; the
+			// second probe is the measured one.
+			for i := 0; i < 2; i++ {
+				if _, err := pr.Probe(target, 256, 0); err != nil {
+					probeErr = err
+					return
+				}
 			}
-			_ = probe(target) // measured probe
 		})
 	}
 	runA := measure(unmapped)
 	runB := measure(mapped)
+	if probeErr != nil {
+		return Table3Scene{}, probeErr
+	}
 	keys := []KeyEvent{
 		{Event: "DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK", PaperA: 2, PaperB: 0, WantDir: -1},
 		{Event: "DTLB_LOAD_MISSES.WALK_ACTIVE", PaperA: 62, PaperB: 0, WantDir: -1},
 	}
 	return Table3Scene{
 		Name:      "TET-KASLR",
-		CPU:       model.Name,
+		CPU:       m.Model.Name,
 		LabelA:    "unmapped",
 		LabelB:    "mapped",
-		Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(model.Vendor), 3.0),
+		Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(m.Model.Vendor), 3.0),
 		KeyEvents: evaluateKeys(keys, runA, runB),
 	}, nil
 }

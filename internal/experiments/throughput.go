@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -9,7 +8,6 @@ import (
 	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
-	"whisper/internal/sched"
 	"whisper/internal/smt"
 	"whisper/internal/stats"
 )
@@ -69,17 +67,13 @@ func bitRow(name, cpuName string, payload, got []byte, res core.LeakResult, pape
 // Throughput measures every §4.1/§4.4 channel plus the cache-channel
 // baselines. bytes sizes the payload (the paper uses 1024). Each channel
 // boots its own machine with the original serial sweep's per-channel seed
-// offset (seed..seed+7), so the eight trials are independent scheduler cells
-// and the table reads identically at any Exec.Parallel.
+// offset (seed..seed+7), so the eight trials are independent cells and the
+// table reads identically at any Exec.Parallel.
 func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
-	jobs := []sched.Job[ThroughputRow]{
+	kaby, cfg := cpu.I7_7700(), kernel.Config{KASLR: true}
+	return runCells(ex, "throughput", seed, []cell[ThroughputRow]{
 		// TET-CC on i7-7700 (paper: 500 B/s, <5 % error).
-		{Key: "tet-cc", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			defer recycle(k)
+		{key: "tet-cc", model: kaby, cfg: cfg, seed: seed, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			cc, err := core.NewTETCovertChannel(k)
 			if err != nil {
 				return ThroughputRow{}, err
@@ -92,12 +86,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			return byteRow("TET-CC", k.Machine().Model.Name, payload, res.Data, res, 500, 0.05), nil
 		}},
 		// TET-MD on i7-7700 (paper: 50 B/s, <3 % error).
-		{Key: "tet-md", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+1)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			defer recycle(k)
+		{key: "tet-md", model: kaby, cfg: cfg, seed: seed + 1, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			payload := randomPayload(bytes, 2)
 			k.WriteSecret(payload)
 			md, err := core.NewTETMeltdown(k)
@@ -111,12 +100,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			return byteRow("TET-MD", k.Machine().Model.Name, payload, res.Data, res, 50, 0.03), nil
 		}},
 		// TET-ZBL on i7-7700 (paper reports success but no rate).
-		{Key: "tet-zbl", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+2)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			defer recycle(k)
+		{key: "tet-zbl", model: kaby, cfg: cfg, seed: seed + 2, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			payload := randomPayload(bytes, 3)
 			k.WriteSecret(payload)
 			z, err := core.NewTETZombieload(k)
@@ -130,12 +114,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			return byteRow("TET-ZBL", k.Machine().Model.Name, payload, res.Data, res, 0, 0), nil
 		}},
 		// TET-RSB on i9-13900K (paper: 21.5 KB/s, <0.1 % error).
-		{Key: "tet-rsb", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot(cpu.I9_13900K(), kernel.Config{KASLR: true}, seed+3)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			defer recycle(k)
+		{key: "tet-rsb", model: cpu.I9_13900K(), cfg: cfg, seed: seed + 3, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			m := k.Machine()
 			payload := randomPayload(bytes, 4)
 			secretVA := uint64(kernel.UserDataBase + 0x400)
@@ -152,29 +131,19 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			return byteRow("TET-RSB", m.Model.Name, payload, res.Data, res, 21500, 0.001), nil
 		}},
 		// SMT channel, both operating points, on i7-7700.
-		{Key: "smt-reliable", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+4)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			defer recycle(k)
+		{key: "smt-reliable", model: kaby, cfg: cfg, seed: seed + 4, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			ch, err := smt.NewChannel(k, smt.ModeReliable)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
-			payload := randomPayload(minInt(bytes, 4), 5) // second-scale windows
+			payload := randomPayload(min(bytes, 4), 5) // second-scale windows
 			res, err := ch.Transfer(payload)
 			if err != nil {
 				return ThroughputRow{}, fmt.Errorf("throughput SMT: %w", err)
 			}
 			return bitRow("SMT-CC (reliable)", k.Machine().Model.Name, payload, res.Data, res, 1, 0.05), nil
 		}},
-		{Key: "smt-secsmt", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+5)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			defer recycle(k)
+		{key: "smt-secsmt", model: kaby, cfg: cfg, seed: seed + 5, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			ch, err := smt.NewChannel(k, smt.ModeSecSMT)
 			if err != nil {
 				return ThroughputRow{}, err
@@ -187,12 +156,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			return bitRow("SMT-CC (SecSMT eval)", k.Machine().Model.Name, payload, res.Data, res, 268_000, 0.28), nil
 		}},
 		// Baselines for comparison.
-		{Key: "baseline-fr", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+6)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			defer recycle(k)
+		{key: "baseline-fr", model: kaby, cfg: cfg, seed: seed + 6, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			fr, err := baseline.NewFlushReload(k)
 			if err != nil {
 				return ThroughputRow{}, err
@@ -204,12 +168,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			}
 			return byteRow("Flush+Reload CC (baseline)", k.Machine().Model.Name, payload, res.Data, res, 0, 0), nil
 		}},
-		{Key: "baseline-md-fr", Run: func(context.Context, int64) (ThroughputRow, error) {
-			k, err := boot(cpu.I7_7700(), kernel.Config{KASLR: true}, seed+7)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			defer recycle(k)
+		{key: "baseline-md-fr", model: kaby, cfg: cfg, seed: seed + 7, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			payload := randomPayload(bytes, 8)
 			k.WriteSecret(payload)
 			md, err := baseline.NewMeltdownFR(k)
@@ -222,15 +181,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			}
 			return byteRow("Meltdown-F+R (baseline)", k.Machine().Model.Name, payload, res.Data, res, 0, 0), nil
 		}},
-	}
-	return sched.Map(ex.ctx(), ex.opts("throughput", seed), jobs)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	})
 }
 
 // RenderThroughput formats the §4.1 comparison.

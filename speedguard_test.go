@@ -313,24 +313,20 @@ func TestParallelSpeedupGuard(t *testing.T) {
 		t.Skip("set CI_BENCH_GUARD=1 to run the speedup gate")
 	}
 	const workers = 4
-	params := func(parallel int) experiments.ReportParams {
-		p := experiments.DefaultReportParams()
-		p.ThroughputBytes = 4
-		p.KASLRReps = 3
-		p.Fig1bBatches = 3
-		p.Parallel = parallel
-		return p
-	}
+	params := experiments.DefaultSweepParams()
+	params.ThroughputBytes = 4
+	params.KASLRReps = 3
+	params.Fig1bBatches = 3
 	run := func(parallel int) time.Duration {
 		// Warm-up run eats one-time costs, then take the best of 3 to shed
 		// scheduler/GC noise on shared runners.
-		if _, err := experiments.RunAll(params(parallel)); err != nil {
+		if _, err := experiments.RunAll(experiments.Exec{Parallel: parallel}, params); err != nil {
 			t.Fatal(err)
 		}
 		best := time.Duration(1<<62 - 1)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			if _, err := experiments.RunAll(params(parallel)); err != nil {
+			if _, err := experiments.RunAll(experiments.Exec{Parallel: parallel}, params); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {
