@@ -4,8 +4,9 @@
 // requests route to the backend whose content-addressed cache already
 // holds them (consistent hashing on the whisper-req-v1 hash, bounded-load
 // variant), dead or draining backends are detected by active /readyz
-// probes and by failed forwards and routed around, failed forwards retry
-// on the next replica, and slow ones are optionally hedged.
+// probes and by failed forwards and routed around, and a failed forward
+// retries on the next replica. A request runs on one backend unless that
+// backend fails it.
 //
 // API:
 //
@@ -54,8 +55,6 @@ func main() {
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "health-check round-trip cap")
 		ejectAfter    = flag.Int("eject-after", 3, "consecutive failures, failed probes and failed forwards alike, before a backend is ejected")
 		loadFactor    = flag.Float64("load-factor", 1.25, "bounded-load ceiling multiplier over the fair inflight share")
-		hedge         = flag.Bool("hedge", true, "hedge requests to a second replica past the experiment's observed p95")
-		hedgeMin      = flag.Duration("hedge-min", 25*time.Millisecond, "minimum in-flight time before a hedge may fire")
 		fwdTimeout    = flag.Duration("forward-timeout", 0, "per-attempt forward cap (0: none)")
 		sweepParallel = flag.Int("sweep-parallel", 0, "max concurrent cells per /v1/sweep (<=0: 2x backend count)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight forwards")
@@ -91,8 +90,6 @@ func main() {
 		ProbeTimeout:   *probeTimeout,
 		EjectAfter:     *ejectAfter,
 		LoadFactor:     *loadFactor,
-		Hedge:          *hedge,
-		HedgeMin:       *hedgeMin,
 		ForwardTimeout: *fwdTimeout,
 		SweepParallel:  *sweepParallel,
 		Obs:            reg,
@@ -111,7 +108,6 @@ func main() {
 	log.Info("whispergate serving",
 		slog.String("addr", "http://"+ln.Addr().String()),
 		slog.Any("backends", members),
-		slog.Bool("hedge", *hedge),
 		slog.Float64("load_factor", *loadFactor),
 		slog.Duration("probe_interval", *probeInterval))
 

@@ -35,12 +35,11 @@ type Config struct {
 	// skipped (affinity permitting) once its inflight count exceeds
 	// LoadFactor× the fair share (<= 1: defaultLoadFactor).
 	LoadFactor float64
-	// Hedge enables hedged requests: once a forward has been in flight
-	// longer than the experiment's observed p95 (floored by HedgeMin), a
-	// duplicate is fired at the next replica and the loser is cancelled.
+	// Hedge is ignored.
+	//
+	// Deprecated: the gateway no longer hedges; the field remains only
+	// until the benchmark stops setting it.
 	Hedge bool
-	// HedgeMin floors the hedge delay (<= 0: defaultHedgeMin).
-	HedgeMin time.Duration
 	// ForwardTimeout caps one forwarded attempt (<= 0: none; the caller's
 	// context still applies).
 	ForwardTimeout time.Duration
@@ -58,7 +57,7 @@ type Config struct {
 }
 
 // Gateway fronts a pool of whisperd backends with cache-affinity routing,
-// health-checked failover, hedging, and a scatter-gather sweep endpoint.
+// health-checked failover, and a scatter-gather sweep endpoint.
 // It speaks the exact whisperd client protocol on /v1/run, so existing
 // clients (whisper -remote, internal/server/client) point at it unchanged.
 type Gateway struct {
@@ -66,7 +65,6 @@ type Gateway struct {
 	reg  *obs.Registry
 	log  *slog.Logger
 	pool *Pool
-	lat  *latencies
 	http *http.Client
 
 	mu       sync.Mutex
@@ -82,7 +80,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	pool := newPool(cfg)
 	cfg = pool.cfg
-	return &Gateway{cfg: cfg, reg: cfg.Obs, log: cfg.Log, pool: pool, lat: newLatencies(), http: cfg.HTTP}, nil
+	return &Gateway{cfg: cfg, reg: cfg.Obs, log: cfg.Log, pool: pool, http: cfg.HTTP}, nil
 }
 
 // Obs returns the gateway's telemetry registry.
@@ -96,6 +94,7 @@ func (g *Gateway) Start() { g.pool.Start() }
 
 // Shutdown drains the gateway: new requests get 503, in-flight forwards
 // and sweeps finish (or are abandoned when ctx expires), and probing stops.
+// It may be called before Start and more than once.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.mu.Lock()
 	g.draining = true
@@ -165,15 +164,15 @@ func (g *Gateway) withRequestScope(h http.Handler) http.Handler {
 		}
 		w.Header().Set(server.RequestIDHeader, id)
 		ctx := logging.WithRequestID(r.Context(), g.log, id)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := &server.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 		start := time.Now()
 		h.ServeHTTP(rec, r.WithContext(ctx))
 		if log := logging.From(ctx); log.Enabled(ctx, slog.LevelInfo) {
 			log.LogAttrs(ctx, slog.LevelInfo, "gateway request",
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Int64("bytes", rec.bytes),
+				slog.Int("status", rec.Status),
+				slog.Int64("bytes", rec.Bytes),
 				slog.Int64("dur_us", time.Since(start).Microseconds()),
 				slog.String("backend", rec.Header().Get(BackendHeader)),
 				slog.Int("backends_healthy", g.pool.Healthy()),
@@ -182,62 +181,28 @@ func (g *Gateway) withRequestScope(h http.Handler) http.Handler {
 	})
 }
 
-// statusRecorder captures what the inner handler wrote, for access logs.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += int64(n)
-	return n, err
-}
-
-// Unwrap exposes the wrapped writer to http.ResponseController, so a handler
-// behind the recorder can still flush (the /v1/sweep stream does).
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
-// writeError mirrors the backend's JSON error envelope so gateway-minted
-// errors are shaped like backend-minted ones.
-func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(struct {
-		Error     string `json:"error"`
-		Status    int    `json:"status"`
-		RequestID string `json:"request_id,omitempty"`
-	}{msg, status, obs.RequestIDFrom(r.Context())})
-}
-
 // handleRun is POST /v1/run: normalize and hash locally (a malformed
 // request never costs a backend hop), route by hash for cache affinity,
-// forward with retry/hedging, and relay the winning backend's response
-// verbatim.
+// forward with retry on the next replica, and relay the answering
+// backend's response verbatim.
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST only")
+		server.WriteError(w, r, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if !g.begin() {
-		writeError(w, r, http.StatusServiceUnavailable, "gateway draining")
+		server.WriteError(w, r, http.StatusServiceUnavailable, "gateway draining")
 		return
 	}
 	defer g.inflight.Done()
 	var req server.Request
 	if status, err := server.DecodeBody(w, r, server.MaxRunBody, &req); err != nil {
-		writeError(w, r, status, err.Error())
+		server.WriteError(w, r, status, err.Error())
 		return
 	}
 	norm, err := req.Normalize()
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		server.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	g.reg.Counter("gate.requests", obs.L("experiment", norm.Experiment)).Inc()
@@ -252,7 +217,7 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, res fwdResult) {
 		if errors.Is(res.err, errNoBackends) {
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, r, status, res.err.Error())
+		server.WriteError(w, r, status, res.err.Error())
 		return
 	}
 	for _, k := range []string{"Content-Type", "Retry-After",
@@ -277,17 +242,17 @@ type fwdResult struct {
 	header  http.Header
 	body    []byte
 	backend string
-	hedged  bool // the winning attempt was a hedge
 	retry   bool // internal: this attempt may be retried on the next replica
 	err     error
 }
 
-// forwardRun resolves one normalized request through the cluster: ring
-// candidates by hash, sequential retry-on-next-replica for connection
-// errors and 5xx, and an optional hedged duplicate once the primary
-// outlives the experiment's p95. POST /v1/run is safe to both retry and
-// hedge because it is idempotent by the serving contract: equal canonical
-// hashes denote equal bytes. Nothing else is ever retried or hedged.
+// forwardRun resolves one normalized request through the cluster: it tries
+// the ring's candidates for the hash in order, one at a time, moving on
+// only after a retryable failure (a connection error, an unreadable body or
+// a 5xx), and returns the first answer that cannot be retried. POST /v1/run
+// is safe to retry because it is idempotent by the serving contract: equal
+// canonical hashes denote equal bytes. Nothing else is ever retried, so a
+// request runs on a second backend only when its first one failed.
 func (g *Gateway) forwardRun(ctx context.Context, norm server.Request) fwdResult {
 	hash := norm.Hash()
 	payload, err := json.Marshal(norm)
@@ -304,9 +269,18 @@ func (g *Gateway) forwardRun(ctx context.Context, norm server.Request) fwdResult
 	if id := obs.RequestIDFrom(ctx); id != "" {
 		sp.Attr(obs.RequestIDAttr, id)
 	}
-	res := g.race(ctx, norm.Experiment, cands, payload)
+	var res fwdResult
+	for _, b := range cands {
+		if res = g.attempt(ctx, b, payload); !res.retry {
+			break
+		}
+		g.reg.Counter("gate.retries", obs.L("backend", res.backend)).Inc()
+	}
+	if res.retry && res.err == nil {
+		res.err = fmt.Errorf("cluster: all %d candidate backends failed (last: %s %d)",
+			len(cands), res.backend, res.status)
+	}
 	sp.Attr("backend", res.backend)
-	sp.AttrBool("hedged", res.hedged)
 	if res.err != nil {
 		sp.Attr("error", res.err.Error())
 	} else {
@@ -316,84 +290,13 @@ func (g *Gateway) forwardRun(ctx context.Context, norm server.Request) fwdResult
 	return res
 }
 
-// race runs the attempt ladder over cands: the primary starts immediately;
-// a hedge may start after the p95 delay; each retryable failure starts the
-// next candidate. The first final (non-retryable) result wins and every
-// other attempt is cancelled through its context.
-func (g *Gateway) race(ctx context.Context, exp string, cands []*backend, payload []byte) fwdResult {
-	actx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-
-	results := make(chan fwdResult, len(cands))
-	next := 0
-	launched := 0
-	launch := func(hedged bool) {
-		b := cands[next]
-		next++
-		launched++
-		go func() {
-			r := g.attempt(actx, b, exp, payload)
-			r.hedged = hedged
-			results <- r
-		}()
-	}
-	launch(false)
-
-	var hedgeTimer <-chan time.Time
-	if g.cfg.Hedge && next < len(cands) {
-		if p95, ok := g.lat.p95(exp); ok {
-			delay := p95
-			if delay < g.cfg.HedgeMin {
-				delay = g.cfg.HedgeMin
-			}
-			hedgeTimer = time.After(delay)
-		}
-	}
-
-	var last fwdResult
-	for launched > 0 {
-		select {
-		case res := <-results:
-			launched--
-			if !res.retry {
-				if res.err == nil && res.status == http.StatusOK {
-					if res.hedged {
-						g.reg.Counter("gate.hedges.won").Inc()
-					}
-				}
-				return res
-			}
-			g.reg.Counter("gate.retries", obs.L("backend", res.backend)).Inc()
-			last = res
-			if next < len(cands) && actx.Err() == nil {
-				launch(false)
-			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if next < len(cands) && actx.Err() == nil {
-				g.reg.Counter("gate.hedges.fired").Inc()
-				logging.From(ctx).LogAttrs(ctx, slog.LevelDebug, "hedging request",
-					slog.String("experiment", exp), slog.String("backend", cands[next].name))
-				launch(true)
-			}
-		case <-ctx.Done():
-			return fwdResult{err: ctx.Err()}
-		}
-	}
-	if last.err == nil {
-		last.err = fmt.Errorf("cluster: all %d candidate backends failed (last: %s %d)",
-			len(cands), last.backend, last.status)
-	}
-	return last
-}
-
 // attempt performs one POST /v1/run against one backend and classifies the
 // outcome. Connection errors, unreadable bodies and 5xx are retryable (the
 // backend is dead, draining, or broken — a replica can serve the same
 // bytes) and count against the backend's health; 429 and other 4xx are
 // final and relayed verbatim, Retry-After included, so the backpressure
 // contract survives the extra hop.
-func (g *Gateway) attempt(ctx context.Context, b *backend, exp string, payload []byte) fwdResult {
+func (g *Gateway) attempt(ctx context.Context, b *backend, payload []byte) fwdResult {
 	b.inflight.Add(1)
 	g.reg.Gauge("gate.backend.inflight", obs.L("backend", b.name)).Set(float64(b.inflight.Load()))
 	defer func() {
@@ -433,7 +336,6 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, exp string, payload [
 	}
 	g.pool.apply(b, forwardOK, 0)
 	if resp.StatusCode == http.StatusOK {
-		g.lat.observe(exp, time.Since(start))
 		g.reg.Counter("gate.forwarded", obs.L("backend", b.name)).Inc()
 		g.reg.Histogram("gate.forward.us", obs.L("backend", b.name)).
 			Observe(uint64(time.Since(start).Microseconds()))
@@ -442,9 +344,8 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, exp string, payload [
 }
 
 // failed classifies a forward that got no complete response. It is a
-// retryable backend failure only if the parent request is still alive: a
-// cancelled attempt (hedge loser, client gone) says nothing about the
-// backend.
+// retryable backend failure only if the parent request is still alive: an
+// attempt cancelled because the client left says nothing about the backend.
 func (g *Gateway) failed(ctx context.Context, b *backend, err error) fwdResult {
 	if ctx.Err() != nil {
 		return fwdResult{backend: b.name, err: err}
@@ -457,7 +358,7 @@ func (g *Gateway) failed(ctx context.Context, b *backend, err error) fwdResult {
 // backend — every backend serves the same index.
 func (g *Gateway) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, "GET only")
+		server.WriteError(w, r, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	for _, b := range g.pool.pick("experiments-index") {
@@ -481,16 +382,16 @@ func (g *Gateway) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		w.Write(body)
 		return
 	}
-	writeError(w, r, http.StatusServiceUnavailable, errNoBackends.Error())
+	server.WriteError(w, r, http.StatusServiceUnavailable, errNoBackends.Error())
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if g.Draining() {
-		writeError(w, r, http.StatusServiceUnavailable, "draining")
+		server.WriteError(w, r, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	if g.pool.Healthy() == 0 {
-		writeError(w, r, http.StatusServiceUnavailable, errNoBackends.Error())
+		server.WriteError(w, r, http.StatusServiceUnavailable, errNoBackends.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -529,7 +430,7 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.pool.publishHealthGauges()
 	if err := server.ServeMetricsSnapshot(w, r, g.reg); err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		server.WriteError(w, r, http.StatusBadRequest, err.Error())
 	}
 }
 

@@ -50,8 +50,8 @@ func newStubBackend(t *testing.T, body string) *stubBackend {
 			b.runs.Add(1)
 			b.lastReqID.Store(r.Header.Get(server.RequestIDHeader))
 			// Drain the body: the net/http server only detects a client
-			// abort (the hedge-loser cancellation this stub observes) once
-			// the request body has been consumed.
+			// abort (a gateway whose own client left, which this stub
+			// observes) once the request body has been consumed.
 			io.Copy(io.Discard, r.Body)
 			if d := time.Duration(b.delay.Load()); d > 0 {
 				select {
@@ -587,16 +587,52 @@ func TestGateway429IsFinalWithRetryAfter(t *testing.T) {
 	}
 }
 
-// TestGatewayHedgesSlowRequest checks the tail-latency path: once the home
-// backend outlives the experiment's p95, a hedge fires at the successor,
-// its answer wins, and the loser is cancelled.
-func TestGatewayHedgesSlowRequest(t *testing.T) {
+// TestGatewayNeverDuplicatesSlowRequest checks a slow but alive home
+// backend is waited for: the request runs once, on its home, and its ring
+// successor never sees it, even with the deprecated Config field that once
+// sent a duplicate there set.
+func TestGatewayNeverDuplicatesSlowRequest(t *testing.T) {
 	a := newStubBackend(t, `{"hash":"a"}`)
 	b := newStubBackend(t, `{"hash":"b"}`)
 	gw, gwts := newTestGateway(t, Config{
 		Backends: []string{a.addr(), b.addr()},
 		Hedge:    true,
-		HedgeMin: 10 * time.Millisecond,
+	})
+	req := server.Request{Experiment: "throughput", ThroughputBytes: 4}
+	norm, _ := req.Normalize()
+	order := orderedStubs(t, gw, norm.Hash(), map[string]*stubBackend{a.addr(): a, b.addr(): b})
+	home, succ := order[0], order[1]
+
+	// Eight fast answers first, so the slow one stands far outside the
+	// experiment's observed latencies.
+	for i := 0; i < 8; i++ {
+		resp := postRun(t, gwts.URL, req)
+		resp.Body.Close()
+	}
+	home.delay.Store(int64(200 * time.Millisecond))
+	resp := postRun(t, gwts.URL, req)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get(BackendHeader); got != home.addr() {
+		t.Fatalf("served by %q, want the slow home %q", got, home.addr())
+	}
+	if n := succ.runs.Load(); n != 0 {
+		t.Fatalf("successor saw %d runs, want 0", n)
+	}
+}
+
+// TestGatewayClientGoneIsNotABackendFailure checks a client that leaves
+// mid-forward costs the backend it was waiting on nothing: the forward is
+// cancelled, not retried elsewhere, and not counted against the backend's
+// health, even at EjectAfter 1.
+func TestGatewayClientGoneIsNotABackendFailure(t *testing.T) {
+	a := newStubBackend(t, `{"hash":"a"}`)
+	b := newStubBackend(t, `{"hash":"b"}`)
+	gw, gwts := newTestGateway(t, Config{
+		Backends:   []string{a.addr(), b.addr()},
+		EjectAfter: 1,
 	})
 	req := server.Request{Experiment: "throughput", ThroughputBytes: 4}
 	norm, _ := req.Normalize()
@@ -604,34 +640,39 @@ func TestGatewayHedgesSlowRequest(t *testing.T) {
 	home, succ := order[0], order[1]
 	home.delay.Store(int64(2 * time.Second))
 
-	// Warm the p95 estimate past the sample gate with fast observations.
-	for i := 0; i < hedgeMinSamples; i++ {
-		gw.lat.observe(norm.Experiment, time.Millisecond)
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	start := time.Now()
-	resp := postRun(t, gwts.URL, req)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, gwts.URL+"/v1/run", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if time.Since(start) > time.Second {
-		t.Fatalf("hedge did not rescue the request: took %v", time.Since(start))
-	}
-	if got := resp.Header.Get(BackendHeader); got != succ.addr() {
-		t.Fatalf("winner %q, want the hedged successor %q", got, succ.addr())
-	}
-	snap := gw.Obs().Snapshot()
-	if snap.Counters["gate.hedges.fired"] != 1 || snap.Counters["gate.hedges.won"] != 1 {
-		t.Fatalf("hedge counters = fired %v, won %v; want 1, 1",
-			snap.Counters["gate.hedges.fired"], snap.Counters["gate.hedges.won"])
+	if resp, err := http.DefaultClient.Do(hreq); err == nil {
+		resp.Body.Close()
+		t.Fatalf("request outlived its client: status %d", resp.StatusCode)
 	}
 	deadline := time.Now().Add(time.Second)
 	for !home.cancelled.Load() {
 		if time.Now().After(deadline) {
-			t.Fatal("losing attempt was never cancelled")
+			t.Fatal("the home backend's forward was never cancelled")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	gwts.Close() // waits for the gateway's handler to return
+
+	if n := succ.runs.Load(); n != 0 {
+		t.Fatalf("successor saw %d runs, want 0", n)
+	}
+	if n := gw.pool.Healthy(); n != 2 {
+		t.Fatalf("%d of 2 backends routable after the client left", n)
+	}
+	for k := range gw.Obs().Snapshot().Counters {
+		if strings.HasPrefix(k, "gate.retries") || strings.HasPrefix(k, "gate.ejections") {
+			t.Fatalf("counter %s recorded for a client that left", k)
+		}
 	}
 }
 
@@ -778,6 +819,38 @@ func TestGatewayReadinessAndDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("run during drain: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestGatewayShutdownBeforeStartAndTwice checks Shutdown neither waits for
+// a probe loop that Start never launched nor panics when called again.
+func TestGatewayShutdownBeforeStartAndTwice(t *testing.T) {
+	a := newStubBackend(t, `{"hash":"a"}`)
+	gw, _ := newTestGateway(t, Config{Backends: []string{a.addr()}})
+	shutdown := func(which string) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					done <- fmt.Errorf("panicked: %v", p)
+				}
+			}()
+			done <- gw.Shutdown(context.Background())
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s Shutdown: %v", which, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s Shutdown still blocked after 2 s", which)
+		}
+	}
+	shutdown("first")
+	shutdown("second")
+	if !gw.Draining() {
+		t.Fatal("gateway not draining after Shutdown")
 	}
 }
 

@@ -89,8 +89,9 @@ type Pool struct {
 	ring     *Ring
 	backends map[string]*backend
 
-	stop chan struct{}
-	done chan struct{}
+	stopOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{} // closed when the probe loop exits; nil until Start
 }
 
 // newPool resolves cfg's defaults, builds the pool and marks every backend
@@ -109,9 +110,6 @@ func newPool(cfg Config) *Pool {
 	if cfg.LoadFactor <= 1 {
 		cfg.LoadFactor = defaultLoadFactor
 	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = defaultHedgeMin
-	}
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{}
 	}
@@ -125,7 +123,6 @@ func newPool(cfg Config) *Pool {
 		cfg:      cfg,
 		backends: make(map[string]*backend),
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	p.SetBackends(cfg.Backends)
 	return p
@@ -185,17 +182,30 @@ func (p *Pool) SetBackends(addrs []string) {
 	p.publishHealthGauges()
 }
 
-// Start launches the probe loop.
-func (p *Pool) Start() { go p.loop() }
-
-// Stop halts probing and waits for the loop to exit.
-func (p *Pool) Stop() {
-	close(p.stop)
-	<-p.done
+// Start launches the probe loop; a second call does nothing.
+func (p *Pool) Start() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.done == nil {
+		p.done = make(chan struct{})
+		go p.loop(p.done)
+	}
 }
 
-func (p *Pool) loop() {
-	defer close(p.done)
+// Stop halts probing and waits for the probe loop, if Start launched one,
+// to exit. It may be called before Start and more than once.
+func (p *Pool) Stop() {
+	p.stopOnce.Do(func() { close(p.stop) })
+	p.mu.Lock()
+	done := p.done
+	p.mu.Unlock()
+	if done != nil {
+		<-done
+	}
+}
+
+func (p *Pool) loop(done chan struct{}) {
+	defer close(done)
 	for {
 		// Jitter ±25% so a fleet of gateways doesn't probe in lockstep.
 		d := p.cfg.ProbeInterval/2 + time.Duration(rand.Int63n(int64(p.cfg.ProbeInterval)))/2 +

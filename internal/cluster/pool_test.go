@@ -315,7 +315,7 @@ func TestBackendHealthStateMachine(t *testing.T) {
 					b.nextProbe = time.Now()
 					b.mu.Unlock()
 				default:
-					gw.attempt(context.Background(), b, "throughput", payload)
+					gw.attempt(context.Background(), b, payload)
 				}
 			}
 
@@ -359,7 +359,7 @@ func TestOnlyFailedProbesAdvanceBackoff(t *testing.T) {
 	}
 
 	for i := 0; i < 6; i++ {
-		gw.attempt(context.Background(), b, "throughput", []byte(`{"experiment":"throughput"}`))
+		gw.attempt(context.Background(), b, []byte(`{"experiment":"throughput"}`))
 	}
 	if got := backoff(); got != 2*time.Second {
 		t.Fatalf("backoff after 6 failed forwards = %v, want ProbeInterval (2s)", got)

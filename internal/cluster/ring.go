@@ -16,11 +16,11 @@
 //     in a row eject a backend; only a passing probe, on an exponential
 //     backoff schedule, brings it back; a draining backend stops getting
 //     work before it starts refusing it.
-//   - Forwarding is allowed to be aggressive because execution is
-//     deterministic: /v1/run is idempotent by the serving contract (equal
-//     hashes denote equal bytes), so the gateway may retry a failed attempt
-//     on the next replica and hedge a slow one — the winner's bytes are the
-//     bytes, whoever computed them.
+//   - Failover is safe because execution is deterministic: /v1/run is
+//     idempotent by the serving contract (equal hashes denote equal bytes),
+//     so the gateway retries a failed attempt on the next replica and the
+//     answer's bytes are the bytes, whoever computed them. A request that
+//     does not fail runs once, on its home backend, whose cache it fills.
 package cluster
 
 import (

@@ -48,25 +48,25 @@ const sweepContentType = "application/x-json-stream"
 // smoke job pin.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST only")
+		server.WriteError(w, r, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if !g.begin() {
-		writeError(w, r, http.StatusServiceUnavailable, "gateway draining")
+		server.WriteError(w, r, http.StatusServiceUnavailable, "gateway draining")
 		return
 	}
 	defer g.inflight.Done()
 	var sreq SweepRequest
 	if status, err := server.DecodeBody(w, r, maxSweepBody, &sreq); err != nil {
-		writeError(w, r, status, err.Error())
+		server.WriteError(w, r, status, err.Error())
 		return
 	}
 	if len(sreq.Cells) == 0 {
-		writeError(w, r, http.StatusBadRequest, "empty sweep: need at least one cell")
+		server.WriteError(w, r, http.StatusBadRequest, "empty sweep: need at least one cell")
 		return
 	}
 	if len(sreq.Cells) > maxSweepCells {
-		writeError(w, r, http.StatusBadRequest,
+		server.WriteError(w, r, http.StatusBadRequest,
 			fmt.Sprintf("sweep too large: %d cells (max %d)", len(sreq.Cells), maxSweepCells))
 		return
 	}
@@ -76,7 +76,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i, c := range sreq.Cells {
 		norm, err := c.Normalize()
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
+			server.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
 			return
 		}
 		cells[i] = norm

@@ -116,12 +116,14 @@ func Map[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for {
+				// Check before claiming: a claimed job always runs, so a
+				// cancel that lands after the last claim cannot drop one.
+				if ctx.Err() != nil {
+					return // drain: stop picking up work, keep completed results
+				}
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
 					return
-				}
-				if ctx.Err() != nil {
-					return // drain: stop picking up work, keep completed results
 				}
 				started.Add(1)
 				opts.Obs.Histogram("sched.queue.latency.us", lbl).

@@ -219,6 +219,27 @@ func TestMapCompletedRunStaysValidAfterLateCancel(t *testing.T) {
 	}
 }
 
+// TestMapRunsEveryClaimedJob repeats the late-cancel case until the cancel
+// lands between another worker claiming job "a" and running it: a claimed
+// job must still run, so every repetition yields the full result set.
+func TestMapRunsEveryClaimedJob(t *testing.T) {
+	for rep := 0; rep < 20000; rep++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		jobs := []Job[int]{
+			{Key: "a", Run: func(context.Context, int64) (int, error) { return 1, nil }},
+			{Key: "b", Run: func(context.Context, int64) (int, error) {
+				cancel()
+				return 2, nil
+			}},
+		}
+		got, err := Map(ctx, Options{Parallel: 2}, jobs)
+		cancel()
+		if err != nil || got[0] != 1 || got[1] != 2 {
+			t.Fatalf("repetition %d: results %v, error %v; want [1 2] and none", rep, got, err)
+		}
+	}
+}
+
 // TestMapEmptyAndNilContext covers the degenerate inputs.
 func TestMapEmptyAndNilContext(t *testing.T) {
 	got, err := Map(nil, Options{}, []Job[int]{ //nolint:staticcheck // nil ctx is part of the contract

@@ -139,24 +139,28 @@ func (s *Server) Handler() http.Handler {
 	return s.withRequestScope(mux)
 }
 
-// statusRecorder captures the status and body size an inner handler wrote,
-// for the access-log line.
-type statusRecorder struct {
+// StatusRecorder captures the status and body size an inner handler wrote,
+// for the access-log lines of whisperd and the gateway.
+type StatusRecorder struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
+	Status int
+	Bytes  int64
 }
 
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
+func (r *StatusRecorder) WriteHeader(status int) {
+	r.Status = status
 	r.ResponseWriter.WriteHeader(status)
 }
 
-func (r *statusRecorder) Write(b []byte) (int, error) {
+func (r *StatusRecorder) Write(b []byte) (int, error) {
 	n, err := r.ResponseWriter.Write(b)
-	r.bytes += int64(n)
+	r.Bytes += int64(n)
 	return n, err
 }
+
+// Unwrap exposes the wrapped writer to http.ResponseController, so a handler
+// behind the recorder can still flush (the gateway's /v1/sweep stream does).
+func (r *StatusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // withRequestScope is the request-ID + access-log middleware.
 func (s *Server) withRequestScope(h http.Handler) http.Handler {
@@ -167,7 +171,7 @@ func (s *Server) withRequestScope(h http.Handler) http.Handler {
 		}
 		w.Header().Set(RequestIDHeader, id)
 		ctx := logging.WithRequestID(r.Context(), s.log, id)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := &StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 		start := time.Now()
 		h.ServeHTTP(rec, r.WithContext(ctx))
 		if log := logging.From(ctx); log.Enabled(ctx, slog.LevelInfo) {
@@ -175,8 +179,8 @@ func (s *Server) withRequestScope(h http.Handler) http.Handler {
 			log.LogAttrs(ctx, slog.LevelInfo, "request",
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Int64("bytes", rec.bytes),
+				slog.Int("status", rec.Status),
+				slog.Int64("bytes", rec.Bytes),
 				slog.Int64("dur_us", time.Since(start).Microseconds()),
 				slog.String("cache", rec.Header().Get(CacheHeader)),
 				slog.Int("queue_inflight", inflight),
@@ -195,10 +199,10 @@ type errorBody struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// writeError replaces http.Error on every serving path: a structured JSON
-// body with an explicit Content-Type and the request ID echoed both in the
-// (middleware-set) header and the body.
-func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
+// WriteError replaces http.Error on every serving path of whisperd and the
+// gateway: a structured JSON body with an explicit Content-Type and the
+// request ID echoed both in the (middleware-set) header and the body.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -304,21 +308,21 @@ const (
 // across all three cache paths and across daemon instances.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, r, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.Draining() {
-		writeError(w, r, http.StatusServiceUnavailable, "draining")
+		WriteError(w, r, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	var req Request
 	if status, err := DecodeBody(w, r, MaxRunBody, &req); err != nil {
-		writeError(w, r, status, err.Error())
+		WriteError(w, r, status, err.Error())
 		return
 	}
 	norm, err := req.Normalize()
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx := r.Context()
@@ -344,14 +348,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			log.LogAttrs(ctx, slog.LevelWarn, "admission rejected",
 				slog.String("experiment", norm.Experiment), slog.String("hash", hash))
 			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusTooManyRequests, "server at capacity, retry later")
+			WriteError(w, r, http.StatusTooManyRequests, "server at capacity, retry later")
 		case errors.Is(err, errDraining),
 			errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeError(w, r, http.StatusServiceUnavailable, err.Error())
+			WriteError(w, r, http.StatusServiceUnavailable, err.Error())
 		default:
 			log.LogAttrs(ctx, slog.LevelError, "execution failed",
 				slog.String("experiment", norm.Experiment), slog.String("error", err.Error()))
-			writeError(w, r, http.StatusInternalServerError, err.Error())
+			WriteError(w, r, http.StatusInternalServerError, err.Error())
 		}
 		return
 	}
@@ -449,12 +453,12 @@ type experimentsIndex struct {
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, r, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	def, err := Request{Experiment: "table2"}.Normalize()
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	idx := experimentsIndex{
@@ -470,7 +474,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeError(w, r, http.StatusServiceUnavailable, "draining")
+		WriteError(w, r, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -565,7 +569,7 @@ func negotiateMetricsFormat(r *http.Request) (string, error) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	publishPoolGauges(s.reg)
 	if err := ServeMetricsSnapshot(w, r, s.reg); err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, err.Error())
 	}
 }
 
