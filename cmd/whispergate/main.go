@@ -6,7 +6,10 @@
 // variant), dead or draining backends are detected by active /readyz
 // probes and by failed forwards and routed around, and a failed forward
 // retries on the next replica. A request runs on one backend unless that
-// backend fails it.
+// backend fails it. A backend that is alive but slow — its last four cache
+// hits all over 5 ms and over 10× the fastest peer's — goes behind its ring
+// successors for later requests until a fresh hit shows it fast again;
+// gate.backend.slow and gate.backend.hit_us on /metrics show the verdict.
 //
 // API:
 //

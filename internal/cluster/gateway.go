@@ -246,40 +246,22 @@ type fwdResult struct {
 	err     error
 }
 
-// forwardRun resolves one normalized request through the cluster: it tries
-// the ring's candidates for the hash in order, one at a time, moving on
-// only after a retryable failure (a connection error, an unreadable body or
-// a 5xx), and returns the first answer that cannot be retried. POST /v1/run
-// is safe to retry because it is idempotent by the serving contract: equal
-// canonical hashes denote equal bytes. Nothing else is ever retried, so a
-// request runs on a second backend only when its first one failed.
+// forwardRun resolves one normalized request through the cluster, routed by
+// its canonical hash. POST /v1/run is safe to retry because it is
+// idempotent by the serving contract: equal canonical hashes denote equal
+// bytes.
 func (g *Gateway) forwardRun(ctx context.Context, norm server.Request) fwdResult {
 	hash := norm.Hash()
 	payload, err := json.Marshal(norm)
 	if err != nil {
 		return fwdResult{err: fmt.Errorf("cluster: encoding request: %w", err)}
 	}
-	cands := g.pool.pick(hash)
-	if len(cands) == 0 {
-		g.reg.Counter("gate.errors", obs.L("kind", "no_backends")).Inc()
-		return fwdResult{err: errNoBackends}
-	}
 	sp := g.reg.StartDetachedWallSpan("gate.run." + norm.Experiment)
 	sp.Attr("hash", hash)
 	if id := obs.RequestIDFrom(ctx); id != "" {
 		sp.Attr(obs.RequestIDAttr, id)
 	}
-	var res fwdResult
-	for _, b := range cands {
-		if res = g.attempt(ctx, b, payload); !res.retry {
-			break
-		}
-		g.reg.Counter("gate.retries", obs.L("backend", res.backend)).Inc()
-	}
-	if res.retry && res.err == nil {
-		res.err = fmt.Errorf("cluster: all %d candidate backends failed (last: %s %d)",
-			len(cands), res.backend, res.status)
-	}
+	res := g.forward(ctx, hash, http.MethodPost, "/v1/run", payload)
 	sp.Attr("backend", res.backend)
 	if res.err != nil {
 		sp.Attr("error", res.err.Error())
@@ -290,13 +272,39 @@ func (g *Gateway) forwardRun(ctx context.Context, norm server.Request) fwdResult
 	return res
 }
 
-// attempt performs one POST /v1/run against one backend and classifies the
-// outcome. Connection errors, unreadable bodies and 5xx are retryable (the
-// backend is dead, draining, or broken — a replica can serve the same
-// bytes) and count against the backend's health; 429 and other 4xx are
-// final and relayed verbatim, Retry-After included, so the backpressure
-// contract survives the extra hop.
-func (g *Gateway) attempt(ctx context.Context, b *backend, payload []byte) fwdResult {
+// forward sends one request to the pool's candidates for key in order, one
+// at a time, moving on only after a retryable failure (a connection error,
+// an unreadable body or a 5xx), and returns the first answer that cannot be
+// retried. Nothing else is ever retried, so a request reaches a second
+// backend only when its first one failed it.
+func (g *Gateway) forward(ctx context.Context, key, method, path string, body []byte) fwdResult {
+	cands := g.pool.pick(key)
+	if len(cands) == 0 {
+		g.reg.Counter("gate.errors", obs.L("kind", "no_backends")).Inc()
+		return fwdResult{err: errNoBackends}
+	}
+	var res fwdResult
+	for _, b := range cands {
+		if res = g.attempt(ctx, b, method, path, body); !res.retry {
+			break
+		}
+		g.reg.Counter("gate.retries", obs.L("backend", res.backend)).Inc()
+	}
+	if res.retry && res.err == nil {
+		res.err = fmt.Errorf("cluster: all %d candidate backends failed (last: %s %d)",
+			len(cands), res.backend, res.status)
+	}
+	return res
+}
+
+// attempt sends one request (body nil for none) to one backend and
+// classifies the outcome. Connection errors, unreadable bodies and 5xx are
+// retryable (the backend is dead, draining, or broken — a replica can serve
+// the same bytes) and count against the backend's health; 429 and other 4xx
+// are final and relayed verbatim, Retry-After included, so the backpressure
+// contract survives the extra hop. A 200's forward time feeds the backend's
+// cache-hit window.
+func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, body []byte) fwdResult {
 	b.inflight.Add(1)
 	g.reg.Gauge("gate.backend.inflight", obs.L("backend", b.name)).Set(float64(b.inflight.Load()))
 	defer func() {
@@ -310,11 +318,17 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, payload []byte) fwdRe
 		actx, cancel = context.WithTimeout(ctx, g.cfg.ForwardTimeout)
 		defer cancel()
 	}
-	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, b.base+"/v1/run", bytes.NewReader(payload))
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	hreq, err := http.NewRequestWithContext(actx, method, b.base+path, rd)
 	if err != nil {
 		return fwdResult{backend: b.name, err: err}
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
 	if id := obs.RequestIDFrom(ctx); id != "" {
 		hreq.Header.Set(server.RequestIDHeader, id)
 	}
@@ -324,11 +338,11 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, payload []byte) fwdRe
 		return g.failed(ctx, b, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return g.failed(ctx, b, err)
 	}
-	res := fwdResult{status: resp.StatusCode, header: resp.Header, body: body, backend: b.name}
+	res := fwdResult{status: resp.StatusCode, header: resp.Header, body: data, backend: b.name}
 	if resp.StatusCode >= 500 {
 		g.pool.apply(b, forwardFailed, 0)
 		res.retry = true
@@ -336,9 +350,10 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, payload []byte) fwdRe
 	}
 	g.pool.apply(b, forwardOK, 0)
 	if resp.StatusCode == http.StatusOK {
+		took := time.Since(start)
 		g.reg.Counter("gate.forwarded", obs.L("backend", b.name)).Inc()
-		g.reg.Histogram("gate.forward.us", obs.L("backend", b.name)).
-			Observe(uint64(time.Since(start).Microseconds()))
+		g.reg.Histogram("gate.forward.us", obs.L("backend", b.name)).Observe(uint64(took.Microseconds()))
+		g.pool.observe(b, resp.Header.Get(server.CacheHeader), took)
 	}
 	return res
 }
@@ -354,35 +369,20 @@ func (g *Gateway) failed(ctx context.Context, b *backend, err error) fwdResult {
 	return fwdResult{backend: b.name, retry: true, err: err}
 }
 
-// handleExperiments proxies GET /v1/experiments to the first healthy
-// backend — every backend serves the same index.
+// handleExperiments proxies GET /v1/experiments — every backend serves the
+// same index — through the same drain gate, candidate order, retries and
+// health accounting as /v1/run.
 func (g *Gateway) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		server.WriteError(w, r, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	for _, b := range g.pool.pick("experiments-index") {
-		ctx := r.Context()
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/experiments", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := g.http.Do(hreq)
-		if err != nil {
-			g.pool.apply(b, forwardFailed, 0)
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.Header().Set(BackendHeader, b.name)
-		w.Write(body)
+	if !g.begin() {
+		server.WriteError(w, r, http.StatusServiceUnavailable, "gateway draining")
 		return
 	}
-	server.WriteError(w, r, http.StatusServiceUnavailable, errNoBackends.Error())
+	defer g.inflight.Done()
+	g.relay(w, r, g.forward(r.Context(), "experiments-index", http.MethodGet, "/v1/experiments", nil))
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {

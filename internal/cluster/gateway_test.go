@@ -19,15 +19,17 @@ import (
 
 // stubBackend is a scripted whisperd stand-in for routing-behaviour tests
 // (the byte-identity tests use real server.Server backends instead). It
-// serves a fixed /v1/run body and can be told to delay, fail with a status,
-// report draining, or drop every connection.
+// serves a fixed /v1/run body and an experiment index, and can be told to
+// answer cache hits, delay, fail with a status, report draining, or drop
+// every connection.
 type stubBackend struct {
 	ts   *httptest.Server
 	body []byte
 
 	runs       atomic.Int64 // /v1/run requests seen
 	delay      atomic.Int64 // ns to stall /v1/run before answering
-	status     atomic.Int32 // non-zero: /v1/run replies this status
+	hit        atomic.Bool  // /v1/run answers X-Whisper-Cache: hit, not miss
+	status     atomic.Int32 // non-zero: /v1/run and /v1/experiments reply this status
 	retryAfter atomic.Int32 // seconds, sent with a 429 status
 	draining   atomic.Bool  // /readyz reports draining
 	dead       atomic.Bool  // every request's connection is closed unanswered
@@ -61,18 +63,22 @@ func newStubBackend(t *testing.T, body string) *stubBackend {
 					return
 				}
 			}
-			if s := int(b.status.Load()); s != 0 {
-				if ra := b.retryAfter.Load(); ra > 0 {
-					w.Header().Set("Retry-After", fmt.Sprint(ra))
-				}
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(s)
-				json.NewEncoder(w).Encode(map[string]any{"error": "scripted failure", "status": s})
+			if b.fail(w) {
+				return
+			}
+			cache := "miss"
+			if b.hit.Load() {
+				cache = "hit"
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set(server.CacheHeader, cache)
+			w.Write(b.body)
+		case "/v1/experiments":
+			if b.fail(w) {
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set(server.CacheHeader, "miss")
-			w.Write(b.body)
+			io.WriteString(w, `{"experiments":["throughput"]}`)
 		case "/readyz":
 			ready := server.Readiness{Status: "ok"}
 			status := http.StatusOK
@@ -91,6 +97,22 @@ func newStubBackend(t *testing.T, body string) *stubBackend {
 }
 
 func (b *stubBackend) addr() string { return strings.TrimPrefix(b.ts.URL, "http://") }
+
+// fail writes the scripted failure status, if one is set, and reports
+// whether it did.
+func (b *stubBackend) fail(w http.ResponseWriter) bool {
+	s := int(b.status.Load())
+	if s == 0 {
+		return false
+	}
+	if ra := b.retryAfter.Load(); ra > 0 {
+		w.Header().Set("Retry-After", fmt.Sprint(ra))
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(s)
+	json.NewEncoder(w).Encode(map[string]any{"error": "scripted failure", "status": s})
+	return true
+}
 
 // newTestGateway builds (but does not Start) a gateway over the addrs with
 // test-friendly timings, returning it and its HTTP front.
@@ -620,6 +642,157 @@ func TestGatewayNeverDuplicatesSlowRequest(t *testing.T) {
 	}
 	if n := succ.runs.Load(); n != 0 {
 		t.Fatalf("successor saw %d runs, want 0", n)
+	}
+}
+
+// TestGatewayRoutesAroundSlowReplica checks the slow-replica rule end to
+// end: once a backend's cache hits run 40 ms against its peers' sub-
+// millisecond ones, its key is served by the ring successor; the slow
+// backend still sees about one request per ProbeInterval, which re-measures
+// it; and once it is fast again the key returns home within one interval.
+func TestGatewayRoutesAroundSlowReplica(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	stubs := map[string]*stubBackend{}
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		s := newStubBackend(t, fmt.Sprintf(`{"hash":"%d"}`, i))
+		s.hit.Store(true)
+		stubs[s.addr()] = s
+		addrs = append(addrs, s.addr())
+	}
+	gw, gwts := newTestGateway(t, Config{Backends: addrs, ProbeInterval: interval})
+
+	// One key homed on each backend.
+	keys := map[string]server.Request{}
+	for seed := int64(1); len(keys) < len(stubs) && seed < 1000; seed++ {
+		req := server.Request{Experiment: "throughput", ThroughputBytes: 4, Seed: seed}
+		norm, err := req.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if home := gw.pool.pick(norm.Hash())[0].name; keys[home].Experiment == "" {
+			keys[home] = req
+		}
+	}
+	if len(keys) < len(stubs) {
+		t.Fatalf("found keys homed on %d of %d backends", len(keys), len(stubs))
+	}
+	slowKey := keys[addrs[0]]
+	norm, _ := slowKey.Normalize()
+	order := orderedStubs(t, gw, norm.Hash(), stubs)
+	home, succ := order[0], order[1]
+	run := func(req server.Request) string {
+		t.Helper()
+		resp := postRun(t, gwts.URL, req)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		return resp.Header.Get(BackendHeader)
+	}
+
+	for _, s := range order[1:] {
+		for i := 0; i < hitWindow; i++ {
+			run(keys[s.addr()])
+		}
+	}
+	home.delay.Store(int64(40 * time.Millisecond))
+	for i := 0; i < hitWindow; i++ {
+		if got := run(slowKey); got != home.addr() {
+			t.Fatalf("hit %d served by %q before the window filled, want the home %q", i, got, home.addr())
+		}
+	}
+	if got := run(slowKey); got != succ.addr() {
+		t.Fatalf("after four 40 ms hits the key was served by %q, want the successor %q", got, succ.addr())
+	}
+	if n := gw.Obs().Snapshot().Counters[`gate.slow.rerouted{backend=`+home.addr()+`}`]; n == 0 {
+		t.Fatal("gate.slow.rerouted not counted")
+	}
+
+	// Demoted: only the re-measure after each lapse reaches the home.
+	before, start := home.runs.Load(), time.Now()
+	for time.Since(start) < 5*interval {
+		run(slowKey)
+		time.Sleep(5 * time.Millisecond)
+	}
+	runs, limit := home.runs.Load()-before, int64(time.Since(start)/interval)+1
+	if runs < 1 || runs > limit {
+		t.Fatalf("slow home saw %d runs in %v, want 1 to %d (one re-measure per interval)",
+			runs, time.Since(start).Round(time.Millisecond), limit)
+	}
+
+	// Fast again: the next re-measure clears the flag.
+	home.delay.Store(0)
+	start = time.Now()
+	for run(slowKey) != home.addr() {
+		if time.Since(start) > interval+100*time.Millisecond {
+			t.Fatalf("key still away from its fast home after %v", time.Since(start).Round(time.Millisecond))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i := 0; i < 5; i++ {
+		if got := run(slowKey); got != home.addr() {
+			t.Fatalf("served by %q after the home recovered, want %q", got, home.addr())
+		}
+	}
+}
+
+// TestGatewayExperimentsProxyCountsFailuresAndDrains checks the index proxy
+// shares /v1/run's health accounting and drain gate: a 500 ejects its
+// backend at EjectAfter 1, a 200 clears a suspect one, and after Shutdown
+// the gateway answers 503 itself.
+func TestGatewayExperimentsProxyCountsFailuresAndDrains(t *testing.T) {
+	get := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/experiments")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	broken := newStubBackend(t, `{}`)
+	broken.status.Store(http.StatusInternalServerError)
+	gw, gwts := newTestGateway(t, Config{Backends: []string{broken.addr()}, EjectAfter: 1})
+	if status, body := get(gwts.URL); status != http.StatusBadGateway {
+		t.Fatalf("index from a backend answering 500: status %d (%s), want 502", status, body)
+	}
+	if gw.pool.Healthy() != 0 {
+		t.Fatal("a 500 on /v1/experiments did not eject the backend at EjectAfter 1")
+	}
+	if n := gw.Obs().Snapshot().Counters[`gate.ejections{backend=`+broken.addr()+`}`]; n != 1 {
+		t.Fatalf("gate.ejections = %v, want 1", n)
+	}
+
+	flaky := newStubBackend(t, `{}`)
+	flaky.status.Store(http.StatusInternalServerError)
+	gw, gwts = newTestGateway(t, Config{Backends: []string{flaky.addr()}, EjectAfter: 2})
+	get(gwts.URL)
+	b := gw.pool.lookup(flaky.addr())
+	state := func() health {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.state
+	}
+	if got := state(); got != suspect {
+		t.Fatalf("after one 500: %v, want suspect", got)
+	}
+	flaky.status.Store(0)
+	if status, body := get(gwts.URL); status != http.StatusOK || !strings.Contains(body, "throughput") {
+		t.Fatalf("index: status %d (%s)", status, body)
+	}
+	if got := state(); got != healthy {
+		t.Fatalf("after a 200: %v, want healthy", got)
+	}
+
+	if err := gw.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if status, body := get(gwts.URL); status != http.StatusServiceUnavailable || !strings.Contains(body, "gateway draining") {
+		t.Fatalf("index after Shutdown: status %d (%s), want 503 gateway draining", status, body)
 	}
 }
 

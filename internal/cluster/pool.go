@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +25,19 @@ const (
 	defaultEjectAfter    = 3
 	maxProbeBackoff      = 30 * time.Second
 	defaultLoadFactor    = 1.25
+)
+
+// The slow-replica rule. A backend's hit time is the minimum gateway forward
+// time of its last hitWindow cache hits, so one stalled hit cannot demote it.
+// pick moves a backend behind its peers while its hit time exceeds both
+// slowHitFloor and slowHitRatio× the fastest candidate's. Healthy hits sit
+// far below both bounds: on a 2-vCPU Xeon, traced benchmark runs measure a
+// whisperd cache hit at 57–90 µs (server.hit_us_p50) and the gateway hop at
+// 68–132 µs (cluster.hop_us_p50).
+const (
+	hitWindow    = 4
+	slowHitFloor = 5 * time.Millisecond
+	slowHitRatio = 10
 )
 
 // health is a backend's routing state. One consecutive-failure count drives
@@ -56,7 +71,7 @@ const (
 )
 
 // backend is one pool member: its address, its health state, and the
-// inflight load the picker reads.
+// inflight load and cache-hit times the picker reads.
 type backend struct {
 	name string // as configured, label-friendly ("127.0.0.1:8090")
 	base string // normalized URL ("http://127.0.0.1:8090")
@@ -69,6 +84,12 @@ type backend struct {
 	backoff    time.Duration // ejected: wait before the next probe
 	nextProbe  time.Time     // ejected: when the next probe is due
 	queueDepth int           // backend-reported inflight+waiting, from /readyz
+
+	// Guarded by Pool.hitMu.
+	hits    [hitWindow]time.Duration // forward times of the latest cache hits, a ring
+	nhits   int                      // cache hits recorded
+	lastHit time.Time                // when the newest hit was recorded
+	slow    bool                     // the slow-replica rule's last verdict, age aside
 }
 
 // routeable reports whether the picker may send this backend new work.
@@ -76,6 +97,15 @@ func (b *backend) routeable() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state == healthy || b.state == suspect
+}
+
+// hitTime returns the minimum of b's hit window; ok is false until the
+// window is full. The caller holds Pool.hitMu.
+func (b *backend) hitTime() (hit time.Duration, ok bool) {
+	if b.nhits < hitWindow {
+		return 0, false
+	}
+	return slices.Min(b.hits[:]), true
 }
 
 // Pool is the health-checked backend set behind a Gateway: the configured
@@ -88,6 +118,11 @@ type Pool struct {
 	mu       sync.Mutex
 	ring     *Ring
 	backends map[string]*backend
+
+	// hitMu guards every member's hit window and slow verdict together, so
+	// a verdict read from one window state is never stored over one read
+	// from a newer state.
+	hitMu sync.Mutex
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -378,11 +413,28 @@ func (p *Pool) Size() int {
 	return len(p.backends)
 }
 
+// observe records one 200's forward time from b, given its X-Whisper-Cache
+// value. Only a hit measures the backend itself: a miss or a coalesced
+// answer also carries the request's own execution time, so it is dropped.
+func (p *Pool) observe(b *backend, cache string, took time.Duration) {
+	if cache != "hit" {
+		return
+	}
+	p.hitMu.Lock()
+	b.hits[b.nhits%hitWindow] = took
+	b.nhits++
+	b.lastHit = time.Now()
+	p.hitMu.Unlock()
+}
+
 // pick returns the candidate backends for a request hash: the ring's
-// preference order for the key, filtered to routeable members, with the
-// bounded-load rule applied — members whose inflight count already exceeds
-// LoadFactor× the fair share are moved to the back, so a hot backend sheds
-// overflow to its ring successor while cold keys keep full cache affinity.
+// preference order for the key, filtered to routeable members, with
+// overloaded and slow members moved to the back and ring order kept within
+// each group. A member is overloaded once its inflight count exceeds
+// LoadFactor× the fair share, so a hot backend sheds overflow to its ring
+// successor while cold keys keep full cache affinity. A member is slow by
+// the rule slowCandidates applies; its keys go to their successors until a
+// fresh hit shows it fast again.
 func (p *Pool) pick(hash string) []*backend {
 	p.mu.Lock()
 	ring := p.ring
@@ -400,17 +452,67 @@ func (p *Pool) pick(hash string) []*backend {
 	if len(cands) < 2 {
 		return cands
 	}
+	slow := p.slowCandidates(cands)
+	if slow[0] {
+		p.cfg.Obs.Counter("gate.slow.rerouted", obs.L("backend", cands[0].name)).Inc()
+	}
 	ceiling := int64(float64(total+1)*p.cfg.LoadFactor/float64(len(cands))) + 1
 	ordered := make([]*backend, 0, len(cands))
-	var overloaded []*backend
-	for _, b := range cands {
-		if b.inflight.Load()+1 <= ceiling {
+	var demoted []*backend
+	for i, b := range cands {
+		if !slow[i] && b.inflight.Load()+1 <= ceiling {
 			ordered = append(ordered, b)
 		} else {
-			overloaded = append(overloaded, b)
+			demoted = append(demoted, b)
 		}
 	}
-	return append(ordered, overloaded...)
+	return append(ordered, demoted...)
+}
+
+// slowCandidates reports which of pick's candidates are slow: the window
+// holds hitWindow hits, the newest younger than ProbeInterval, and the hit
+// time exceeds slowHitFloor and slowHitRatio× the fastest candidate's. Once
+// the newest hit ages out, the next request for the member's keys goes home
+// and re-measures it; the inflight ceiling lets one such request through at
+// a time, so no timer or goroutine is needed. Each member's verdict without
+// the age test is kept in backend.slow, and its changes are logged: once
+// when the member turns slow, once when a fast hit clears it.
+func (p *Pool) slowCandidates(cands []*backend) []bool {
+	type change struct {
+		b    *backend
+		slow bool
+		hit  time.Duration
+	}
+	var changes []change
+	now := time.Now()
+	slow := make([]bool, len(cands))
+	p.hitMu.Lock()
+	fastest := time.Duration(math.MaxInt64)
+	for _, b := range cands {
+		if hit, ok := b.hitTime(); ok {
+			fastest = min(fastest, hit)
+		}
+	}
+	for i, b := range cands {
+		hit, ok := b.hitTime()
+		verdict := ok && hit > slowHitFloor && hit > slowHitRatio*fastest
+		slow[i] = verdict && now.Sub(b.lastHit) < p.cfg.ProbeInterval
+		if verdict != b.slow {
+			b.slow = verdict
+			changes = append(changes, change{b, verdict, hit})
+		}
+	}
+	p.hitMu.Unlock()
+
+	for _, c := range changes {
+		level, msg := slog.LevelInfo, "backend no longer slow"
+		if c.slow {
+			level, msg = slog.LevelWarn, "backend slow, routing around"
+		}
+		p.cfg.Log.LogAttrs(context.Background(), level, msg, slog.String("backend", c.b.name),
+			slog.Int64("hit_us", c.hit.Microseconds()), slog.Int64("fastest_us", fastest.Microseconds()))
+	}
+	return slow
 }
 
 // publishHealthGauges refreshes the per-backend and aggregate health
@@ -429,6 +531,15 @@ func (p *Pool) publishHealthGauges() {
 		depth := b.queueDepth
 		b.mu.Unlock()
 		p.cfg.Obs.Gauge("gate.backend.queue_depth", lbl).Set(float64(depth))
+		p.hitMu.Lock()
+		hit, _ := b.hitTime()
+		slow := 0.0
+		if b.slow {
+			slow = 1
+		}
+		p.hitMu.Unlock()
+		p.cfg.Obs.Gauge("gate.backend.hit_us", lbl).Set(float64(hit.Microseconds()))
+		p.cfg.Obs.Gauge("gate.backend.slow", lbl).Set(slow)
 	}
 	p.cfg.Obs.Gauge("gate.backends.healthy").Set(float64(healthy))
 }

@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -315,7 +320,7 @@ func TestBackendHealthStateMachine(t *testing.T) {
 					b.nextProbe = time.Now()
 					b.mu.Unlock()
 				default:
-					gw.attempt(context.Background(), b, payload)
+					gw.attempt(context.Background(), b, http.MethodPost, "/v1/run", payload)
 				}
 			}
 
@@ -359,7 +364,7 @@ func TestOnlyFailedProbesAdvanceBackoff(t *testing.T) {
 	}
 
 	for i := 0; i < 6; i++ {
-		gw.attempt(context.Background(), b, []byte(`{"experiment":"throughput"}`))
+		gw.attempt(context.Background(), b, http.MethodPost, "/v1/run", []byte(`{"experiment":"throughput"}`))
 	}
 	if got := backoff(); got != 2*time.Second {
 		t.Fatalf("backoff after 6 failed forwards = %v, want ProbeInterval (2s)", got)
@@ -371,5 +376,200 @@ func TestOnlyFailedProbesAdvanceBackoff(t *testing.T) {
 	gw.pool.ProbeAll()
 	if got := backoff(); got != 4*time.Second {
 		t.Fatalf("backoff after a failed probe = %v, want 4s", got)
+	}
+}
+
+// sample is one synthetic forward: the answer's X-Whisper-Cache value and
+// the gateway's forward time in milliseconds.
+type sample struct {
+	cache string
+	ms    float64
+}
+
+func samples(cache string, ms ...float64) []sample {
+	out := make([]sample, len(ms))
+	for i, m := range ms {
+		out[i] = sample{cache, m}
+	}
+	return out
+}
+
+func record(p *Pool, b *backend, ss []sample) {
+	for _, s := range ss {
+		p.observe(b, s.cache, time.Duration(s.ms*float64(time.Millisecond)))
+	}
+}
+
+// TestPoolSlowReplicaRule drives pick's slow-replica rule with synthetic
+// forward times. A key's home is demoted behind its peers only while the
+// minimum of its last four cache hits is over 5 ms and over 10× the fastest
+// candidate's, and its newest hit is younger than ProbeInterval.
+func TestPoolSlowReplicaRule(t *testing.T) {
+	const interval = 2 * time.Second
+	fast := samples("hit", 0.1, 0.1, 0.1, 0.1)
+	slow := samples("hit", 40, 40, 40, 40)
+	cases := []struct {
+		name    string
+		members int
+		home    []sample      // recorded on the key's home, oldest first
+		peers   []sample      // recorded on every other member
+		aged    time.Duration // then the home's newest hit is moved this far back
+		after   []sample      // then recorded on the home
+		demoted bool
+	}{
+		{"a window of 40 ms hits demotes", 3, slow, fast, 0, nil, true},
+		{"two members: the successor first, then the slow home", 2, slow, fast, 0, nil, true},
+		{"one stalled hit among fast ones does not demote", 3, samples("hit", 0.1, 40, 0.1, 0.1), fast, 0, nil, false},
+		{"three hits are not a window", 3, samples("hit", 40, 40, 40), fast, 0, nil, false},
+		{"slow misses do not demote", 3, samples("miss", 40, 40, 40, 40), fast, 0, nil, false},
+		{"slow coalesced answers do not demote", 3, samples("coalesced", 40, 40, 40, 40), fast, 0, nil, false},
+		{"misses do not push hits out of the window",
+			3, append(samples("miss", 0.1, 0.1, 0.1, 0.1), slow...), fast, 0, samples("miss", 0.1), true},
+		{"under the 5 ms floor", 3, samples("hit", 4, 4, 4, 4), fast, 0, nil, false},
+		{"within 10x of the fastest peer", 3, slow, samples("hit", 8, 8, 8, 8), 0, nil, false},
+		{"no peer has a full window", 3, slow, samples("hit", 0.1, 0.1, 0.1), 0, nil, false},
+		{"the flag lapses after ProbeInterval", 3, slow, fast, interval, nil, false},
+		{"one slow hit after the lapse demotes again", 3, slow, fast, interval, samples("hit", 40), true},
+		{"one fast hit clears the flag", 3, slow, fast, 0, samples("hit", 0.1), false},
+		{"a pool of one is never demoted", 1, slow, nil, 0, nil, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var addrs []string
+			for i := 0; i < tc.members; i++ {
+				addrs = append(addrs, fmt.Sprintf("backend-%d:80", i+1))
+			}
+			reg := obs.NewRegistry()
+			p := newPool(Config{Backends: addrs, ProbeInterval: interval, Obs: reg})
+			ring := p.pick("slow-key")
+			home := ring[0]
+			record(p, home, tc.home)
+			for _, b := range ring[1:] {
+				record(p, b, tc.peers)
+			}
+			p.hitMu.Lock()
+			home.lastHit = home.lastHit.Add(-tc.aged)
+			p.hitMu.Unlock()
+			record(p, home, tc.after)
+
+			want := ring
+			if tc.demoted {
+				want = append(append([]*backend{}, ring[1:]...), home)
+			}
+			if got := p.pick("slow-key"); !slices.Equal(got, want) {
+				t.Errorf("pick = %v, want %v", names(got), names(want))
+			}
+			rerouted := uint64(0)
+			if tc.demoted {
+				rerouted = 1
+			}
+			if got := reg.Snapshot().Counters[`gate.slow.rerouted{backend=`+home.name+`}`]; got != rerouted {
+				t.Errorf("gate.slow.rerouted = %v, want %v", got, rerouted)
+			}
+		})
+	}
+}
+
+// TestSlowReplicaLogsTransitionsOnce checks the demotion explains itself
+// without logging per request: one Warn line when a backend turns slow, none
+// while its flag lapses and is re-measured, one Info line when a fast hit
+// clears it, and the hit_us and slow gauges follow.
+func TestSlowReplicaLogsTransitionsOnce(t *testing.T) {
+	var logs bytes.Buffer
+	reg := obs.NewRegistry()
+	p := newPool(Config{
+		Backends: []string{"backend-1:80", "backend-2:80", "backend-3:80"},
+		Obs:      reg,
+		Log:      slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	ring := p.pick("slow-key")
+	home := ring[0]
+	for _, b := range ring[1:] {
+		record(p, b, samples("hit", 0.1, 0.1, 0.1, 0.1))
+	}
+	gauges := func() (hitUS, slow float64) {
+		p.publishHealthGauges()
+		g := reg.Snapshot().Gauges
+		return g[`gate.backend.hit_us{backend=`+home.name+`}`], g[`gate.backend.slow{backend=`+home.name+`}`]
+	}
+	lines := func(msg string) int { return strings.Count(logs.String(), `msg="`+msg+`"`) }
+
+	record(p, home, samples("hit", 40, 40, 40))
+	if hitUS, slow := gauges(); hitUS != 0 || slow != 0 {
+		t.Fatalf("before the window fills: hit_us %v, slow %v; want 0, 0", hitUS, slow)
+	}
+	record(p, home, samples("hit", 41))
+	for i := 0; i < 5; i++ {
+		p.pick("slow-key")
+	}
+	if hitUS, slow := gauges(); hitUS != 40000 || slow != 1 {
+		t.Fatalf("after four 40 ms hits: hit_us %v, slow %v; want 40000, 1", hitUS, slow)
+	}
+	if got := reg.Snapshot().Counters[`gate.slow.rerouted{backend=`+home.name+`}`]; got != 5 {
+		t.Fatalf("gate.slow.rerouted = %v after 5 picks, want 5", got)
+	}
+
+	// Lapse and re-measure slow: routed home once, then demoted again, all
+	// without a log line.
+	p.hitMu.Lock()
+	home.lastHit = home.lastHit.Add(-defaultProbeInterval)
+	p.hitMu.Unlock()
+	if got := p.pick("slow-key"); got[0] != home {
+		t.Fatalf("lapsed home not routed first: %v", names(got))
+	}
+	record(p, home, samples("hit", 40))
+	if got := p.pick("slow-key"); got[0] == home {
+		t.Fatal("home not demoted again after a slow re-measure")
+	}
+
+	record(p, home, samples("hit", 0.2))
+	for i := 0; i < 3; i++ {
+		if got := p.pick("slow-key"); got[0] != home {
+			t.Fatalf("home not restored after a fast hit: %v", names(got))
+		}
+	}
+	if hitUS, slow := gauges(); hitUS != 200 || slow != 0 {
+		t.Fatalf("after a fast hit: hit_us %v, slow %v; want 200, 0", hitUS, slow)
+	}
+	if w, i := lines("backend slow, routing around"), lines("backend no longer slow"); w != 1 || i != 1 {
+		t.Fatalf("log lines: %d slow, %d cleared; want 1 and 1\n%s", w, i, logs.String())
+	}
+}
+
+// TestSlowReplicaRuleConcurrent records hits and picks from several
+// goroutines at once, as concurrent forwards do, and checks every pick
+// still returns each member once, the slow home ends up last, and the
+// turn to slow is logged once.
+func TestSlowReplicaRuleConcurrent(t *testing.T) {
+	var logs bytes.Buffer
+	p := newPool(Config{
+		Backends: []string{"backend-1:80", "backend-2:80", "backend-3:80"},
+		Log:      slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	ring := p.pick("slow-key")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				b, took := ring[(g+i)%len(ring)], 100*time.Microsecond
+				if b == ring[0] {
+					took = 40 * time.Millisecond
+				}
+				p.observe(b, "hit", took)
+				if got := p.pick("slow-key"); len(got) != len(ring) {
+					t.Errorf("pick returned %d of %d members", len(got), len(ring))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := p.pick("slow-key"); got[len(got)-1] != ring[0] {
+		t.Errorf("pick = %v, want the slow home %s last", names(got), ring[0].name)
+	}
+	if n := strings.Count(logs.String(), `msg="backend slow, routing around"`); n != 1 {
+		t.Errorf("%d slow lines logged, want 1\n%s", n, logs.String())
 	}
 }

@@ -9,7 +9,11 @@
 //     stable whisper-req-v1 hash, and the consistent-hash ring maps that
 //     hash to a backend, so repeat requests land where the LRU/disk cache
 //     already holds them. The cluster's aggregate cache behaves like one
-//     big cache.
+//     big cache. Bounded load moves a backend behind its ring successors
+//     while it is overloaded, or while its cache hits run over 10× slower
+//     than its peers' (and over 5 ms): a slow replica is alive and correct,
+//     so its keys are served by their successors and re-measured on it
+//     about once per probe interval, never ejected.
 //   - Each backend has one health state machine (healthy → suspect →
 //     ejected, plus draining) driven by one consecutive-failure count that
 //     /readyz probes and forwarded requests both feed. EjectAfter failures
