@@ -109,26 +109,22 @@ func (c *FlushReload) calibrate() error {
 
 // Transfer sends data through the cache channel.
 func (c *FlushReload) Transfer(data []byte) (core.LeakResult, error) {
-	start := c.m.Pipe.Cycle()
-	out := make([]byte, len(data))
-	for i, by := range data {
+	return core.LeakBytes(c.m, "Flush+Reload", len(data), func(i int) (byte, error) {
 		var got byte
 		for bit := 7; bit >= 0; bit-- {
-			if err := c.send(by>>uint(bit)&1 == 1); err != nil {
-				return core.LeakResult{}, err
+			if err := c.send(data[i]>>uint(bit)&1 == 1); err != nil {
+				return 0, err
 			}
 			t, err := c.reload()
 			if err != nil {
-				return core.LeakResult{}, err
+				return 0, err
 			}
 			if t < c.threshold {
 				got |= 1 << uint(bit)
 			}
 		}
-		out[i] = got
-	}
-	cycles := c.m.Pipe.Cycle() - start
-	return core.LeakResult{Data: out, Cycles: cycles, Bps: c.m.Bps(len(data), cycles)}, nil
+		return got, nil
+	})
 }
 
 // MeltdownFR is the original Meltdown attack with a 256-entry Flush+Reload
@@ -211,17 +207,9 @@ func (a *MeltdownFR) LeakByte(va uint64) (byte, error) {
 
 // Leak recovers n bytes starting at va.
 func (a *MeltdownFR) Leak(va uint64, n int) (core.LeakResult, error) {
-	start := a.m.Pipe.Cycle()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b, err := a.LeakByte(va + uint64(i))
-		if err != nil {
-			return core.LeakResult{}, err
-		}
-		out[i] = b
-	}
-	cycles := a.m.Pipe.Cycle() - start
-	return core.LeakResult{Data: out, Cycles: cycles, Bps: a.m.Bps(n, cycles)}, nil
+	return core.LeakBytes(a.m, "Meltdown-F+R", n, func(i int) (byte, error) {
+		return a.LeakByte(va + uint64(i))
+	})
 }
 
 // PrefetchKASLR is the EntryBleed-style baseline: time a software prefetch
@@ -254,17 +242,8 @@ func NewPrefetchKASLR(k *kernel.Kernel) (*PrefetchKASLR, error) {
 }
 
 func (a *PrefetchKASLR) probe(target uint64) (uint64, error) {
-	p := a.m.Pipe
-	p.SetReg(isa.RBX, target)
-	for attempt := 0; attempt < 4; attempt++ {
-		if _, err := p.Exec(a.prog, maxCycles); err != nil {
-			return 0, fmt.Errorf("baseline: prefetch probe: %w", err)
-		}
-		if t1, t2 := p.Reg(isa.RSI), p.Reg(isa.RDI); t2 >= t1 {
-			return t2 - t1, nil
-		}
-	}
-	return 0, errors.New("baseline: prefetch timer unusable")
+	a.m.Pipe.SetReg(isa.RBX, target)
+	return core.ToTE(a.m.Pipe, a.prog)
 }
 
 // Locate scans all slots and returns the recovered base.

@@ -2,24 +2,15 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
-	"whisper/internal/obs"
 )
 
 // UnmappedVA is a canonical user address no kernel maps; faulting loads from
 // it open a transient window on every CPU model (not-present fault), which
 // the covert channel and Zombieload probes rely on.
 const UnmappedVA = 0x1300000000
-
-// LeakResult reports a finished leak.
-type LeakResult struct {
-	Data   []byte
-	Cycles uint64  // simulated cycles consumed
-	Bps    float64 // throughput at the model's clock
-}
 
 // Meltdown is TET-Meltdown (§4.3.1): a Meltdown read whose covert channel is
 // the transient execution time itself.
@@ -57,24 +48,9 @@ func (a *Meltdown) LeakByte(va uint64) (byte, error) {
 
 // Leak recovers n bytes starting at va.
 func (a *Meltdown) Leak(va uint64, n int) (LeakResult, error) {
-	m := a.k.Machine()
-	sp := leakSpan(m, "TET-Meltdown", n)
-	start := m.Pipe.Cycle()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		bsp := byteSpan(m, i)
-		b, err := a.LeakByte(va + uint64(i))
-		if err != nil {
-			sp.End(m.Pipe.Cycle())
-			return LeakResult{}, fmt.Errorf("core: TET-MD byte %d: %w", i, err)
-		}
-		out[i] = b
-		bsp.AttrU64("value", uint64(b))
-		bsp.End(m.Pipe.Cycle())
-	}
-	cycles := m.Pipe.Cycle() - start
-	sp.End(m.Pipe.Cycle())
-	return LeakResult{Data: out, Cycles: cycles, Bps: m.Bps(n, cycles)}, nil
+	return LeakBytes(a.k.Machine(), "TET-Meltdown", n, func(i int) (byte, error) {
+		return a.LeakByte(va + uint64(i))
+	})
 }
 
 // Zombieload is TET-ZBL (§4.3.2): sampling stale line-fill-buffer data
@@ -109,25 +85,9 @@ func (a *Zombieload) SampleByte(victim func()) (byte, error) {
 // Leak samples the victim's secret stream: the victim loops over its secret
 // (one VictimTouch per byte) while the attacker samples each position.
 func (a *Zombieload) Leak(n int) (LeakResult, error) {
-	m := a.k.Machine()
-	sp := leakSpan(m, "TET-Zombieload", n)
-	start := m.Pipe.Cycle()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		i := i
-		bsp := byteSpan(m, i)
-		b, err := a.SampleByte(func() { a.k.VictimTouch(i) })
-		if err != nil {
-			sp.End(m.Pipe.Cycle())
-			return LeakResult{}, fmt.Errorf("core: TET-ZBL byte %d: %w", i, err)
-		}
-		out[i] = b
-		bsp.AttrU64("value", uint64(b))
-		bsp.End(m.Pipe.Cycle())
-	}
-	cycles := m.Pipe.Cycle() - start
-	sp.End(m.Pipe.Cycle())
-	return LeakResult{Data: out, Cycles: cycles, Bps: m.Bps(n, cycles)}, nil
+	return LeakBytes(a.k.Machine(), "TET-Zombieload", n, func(i int) (byte, error) {
+		return a.SampleByte(func() { a.k.VictimTouch(i) })
+	})
 }
 
 // CovertChannel is TET-CC: sender and receiver share the probe gadget; the
@@ -190,48 +150,19 @@ func (c *CovertChannel) Transfer(data []byte) (LeakResult, error) {
 			return LeakResult{}, err
 		}
 	}
-	sp := leakSpan(c.m, "TET-CC", len(data))
-	start := c.m.Pipe.Cycle()
-	out := make([]byte, len(data))
-	for i, by := range data {
-		bsp := byteSpan(c.m, i)
+	return LeakBytes(c.m, "TET-CC", len(data), func(i int) (byte, error) {
 		var got byte
 		for bit := 7; bit >= 0; bit-- {
-			rx, err := c.sendBit(by>>uint(bit)&1 == 1)
+			rx, err := c.sendBit(data[i]>>uint(bit)&1 == 1)
 			if err != nil {
-				sp.End(c.m.Pipe.Cycle())
-				return LeakResult{}, fmt.Errorf("core: TET-CC byte %d: %w", i, err)
+				return 0, err
 			}
 			if rx {
 				got |= 1 << uint(bit)
 			}
 		}
-		out[i] = got
-		bsp.AttrU64("value", uint64(got))
-		bsp.AttrBool("correct", got == by)
-		bsp.End(c.m.Pipe.Cycle())
-	}
-	cycles := c.m.Pipe.Cycle() - start
-	sp.End(c.m.Pipe.Cycle())
-	return LeakResult{Data: out, Cycles: cycles, Bps: c.m.Bps(len(data), cycles)}, nil
-}
-
-// leakSpan opens the attack-level span: attack kind, CPU model, payload size.
-// Nil-safe; ending the span force-closes any stray descendants.
-func leakSpan(m *cpu.Machine, attack string, n int) *obs.Span {
-	sp := m.Obs.StartSpan("core.leak", m.Pipe.Cycle())
-	sp.Attr("attack", attack)
-	sp.Attr("cpu", m.Model.Name)
-	sp.AttrInt("bytes", n)
-	return sp
-}
-
-// byteSpan opens the per-byte span under a leakSpan, carrying the batch
-// index; callers attach the leaked-byte verdict before End.
-func byteSpan(m *cpu.Machine, i int) *obs.Span {
-	sp := m.Obs.StartSpan("core.leak.byte", m.Pipe.Cycle())
-	sp.AttrInt("index", i)
-	return sp
+		return got, nil
+	})
 }
 
 // errNotBooted guards attack constructors.

@@ -278,8 +278,34 @@ func TestProberRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pr.SweepByte(UnmappedVA, 0, SignLonger, nil); err == nil {
-		t.Fatal("zero batches accepted")
+	rsb, err := NewTETRSB(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := NewTETSpectreV1(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every decoder rejects a non-positive batch count before it probes.
+	start := k.Machine().Pipe.Cycle()
+	for _, batches := range []int{0, -2} {
+		if _, err := pr.SweepByte(UnmappedVA, batches, SignLonger, nil); err == nil {
+			t.Fatalf("SweepByte accepted %d batches", batches)
+		}
+		if _, err := pr.SweepByteMedian(UnmappedVA, batches, SignLonger, nil); err == nil {
+			t.Fatalf("SweepByteMedian accepted %d batches", batches)
+		}
+		rsb.Batches = batches
+		if _, err := rsb.LeakByte(kernel.UserDataBase); err == nil {
+			t.Fatalf("RSB.LeakByte accepted %d batches", batches)
+		}
+		v1.Batches = batches
+		if _, err := v1.LeakByte(v1.ArrayLen()); err == nil {
+			t.Fatalf("SpectreV1.LeakByte accepted %d batches", batches)
+		}
+	}
+	if end := k.Machine().Pipe.Cycle(); end != start {
+		t.Fatalf("rejected decodes ran %d simulated cycles", end-start)
 	}
 	if _, err := NewTETMeltdown(nil); err == nil {
 		t.Fatal("nil kernel accepted")

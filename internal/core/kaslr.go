@@ -76,26 +76,17 @@ func NewTETKASLR(k *kernel.Kernel) (*KASLR, error) {
 // window lets the frontend issue). On MDS-vulnerable parts a *triggered* Jcc
 // would cut the unmapped probe's abortable assist short and corrupt the
 // signal, so the sweep never triggers it.
-func (a *KASLR) probe(target uint64, rep int) (uint64, error) {
+func (a *KASLR) probe(target uint64) (uint64, error) {
 	m := a.k.Machine()
 	p := m.Pipe
 	if !m.Model.HasTSX {
 		p.SetSignalHandler(a.prog.Len() - 3)
 		defer p.SetSignalHandler(-1)
 	}
-	_ = rep
 	p.SetReg(isa.RBX, target)
 	p.SetReg(isa.R8, 1)
 	p.SetReg(isa.RDX, 0)
-	for attempt := 0; attempt < 4; attempt++ {
-		if _, err := p.Exec(a.prog, maxProbeCycles); err != nil {
-			return 0, fmt.Errorf("core: TET-KASLR probe: %w", err)
-		}
-		if t1, t2 := p.Reg(isa.RSI), p.Reg(isa.RDI); t2 >= t1 {
-			return t2 - t1, nil
-		}
-	}
-	return 0, fmt.Errorf("core: TET-KASLR timer unusable after retries")
+	return ToTE(p, a.prog)
 }
 
 // slotTime returns the median probe time of candidate slot s under the
@@ -104,12 +95,12 @@ func (a *KASLR) probe(target uint64, rep int) (uint64, error) {
 func (a *KASLR) slotTime(s int) (uint64, error) {
 	target := a.k.ProbeTarget(s)
 	times := make([]uint64, 0, a.Reps)
-	for rep := 0; rep < a.Reps; rep++ {
+	for range a.Reps {
 		a.k.EvictTLB()
-		if _, err := a.probe(target, rep); err != nil { // warm: fills TLB iff mapped
+		if _, err := a.probe(target); err != nil { // warm: fills TLB iff mapped
 			return 0, err
 		}
-		t, err := a.probe(target, rep+1)
+		t, err := a.probe(target)
 		if err != nil {
 			return 0, err
 		}
@@ -128,8 +119,8 @@ func (a *KASLR) slotTime(s int) (uint64, error) {
 func (a *KASLR) slotTimeFLARE(s int) (uint64, error) {
 	target := a.k.ProbeTarget(s)
 	times := make([]uint64, 0, a.Reps)
-	for rep := 0; rep < a.Reps; rep++ {
-		if _, err := a.probe(target, rep); err != nil { // prime the TLB entry
+	for range a.Reps {
+		if _, err := a.probe(target); err != nil { // prime the TLB entry
 			return 0, err
 		}
 		if a.k.Config().KPTI {
@@ -138,7 +129,7 @@ func (a *KASLR) slotTimeFLARE(s int) (uint64, error) {
 			a.k.EvictDTLB4K()
 		}
 		a.k.EvictProbePTEs(s) // force any re-walk to DRAM
-		t, err := a.probe(target, rep+1)
+		t, err := a.probe(target)
 		if err != nil {
 			return 0, err
 		}

@@ -143,16 +143,7 @@ func (pr *Prober) probe(target uint64, test, cmp uint64) (uint64, error) {
 	p.SetReg(isa.RBX, target)
 	p.SetReg(isa.RDX, test)
 	p.SetReg(isa.RCX, cmp)
-	for attempt := 0; attempt < 4; attempt++ {
-		if _, err := p.Exec(pr.prog, maxProbeCycles); err != nil {
-			return 0, fmt.Errorf("core: probe: %w", err)
-		}
-		t1, t2 := p.Reg(isa.RSI), p.Reg(isa.RDI)
-		if t2 >= t1 {
-			return t2 - t1, nil
-		}
-	}
-	return 0, errors.New("core: probe timer unusable after retries")
+	return ToTE(p, pr.prog)
 }
 
 // SweepByte performs the paper's §4.3.1 decoding: traverse test values
@@ -160,114 +151,22 @@ func (pr *Prober) probe(target uint64, test, cmp uint64) (uint64, error) {
 // the argmax of the votes. sign selects max- or min-extreme. prep, when
 // non-nil, runs before every probe (victim refresh, eviction, ...).
 func (pr *Prober) SweepByte(target uint64, batches int, sign Sign, prep func()) (byte, error) {
-	sp := pr.m.Obs.StartSpan("core.sweepByte", pr.m.Pipe.Cycle())
-	sp.AttrInt("batches", batches)
-	sp.AttrBool("signLonger", sign == SignLonger)
-	b, err := pr.sweepByte(target, batches, sign, prep)
-	if err == nil {
-		sp.AttrU64("decoded", uint64(b))
-	}
-	sp.End(pr.m.Pipe.Cycle())
-	return b, err
+	return pr.sweep(target, decoder{warmup: 16, batches: batches, sign: sign}, prep)
 }
 
-func (pr *Prober) sweepByte(target uint64, batches int, sign Sign, prep func()) (byte, error) {
-	if batches <= 0 {
-		return 0, errors.New("core: batches must be positive")
-	}
-	// Warm the gadget's icache/DSB/predictor state with never-matching
-	// probes (256 cannot equal a loaded byte) so cold-start timings do not
-	// pollute the first batch's extreme.
-	for i := 0; i < 16; i++ {
-		if prep != nil {
-			prep()
-		}
-		if _, err := pr.Probe(target, 256, 0); err != nil {
-			return 0, err
-		}
-	}
-	votes := make([]int, 256)
-	totes := make([]uint64, 256)
-	for batch := 0; batch < batches; batch++ {
-		bsp := pr.m.Obs.StartSpan("core.sweepByte.batch", pr.m.Pipe.Cycle())
-		bsp.AttrInt("batch", batch)
-		for tv := 0; tv < 256; tv++ {
-			if prep != nil {
-				prep()
-			}
-			tote, err := pr.Probe(target, uint64(tv), 0)
-			if err != nil {
-				return 0, err
-			}
-			totes[tv] = tote
-		}
-		var pick int
-		if sign == SignLonger {
-			pick = stats.Argmax(totes)
-		} else {
-			pick = stats.Argmin(totes)
-		}
-		votes[pick]++
-		bsp.AttrInt("vote", pick)
-		bsp.End(pr.m.Pipe.Cycle())
-	}
-	return byte(stats.ArgmaxInt(votes)), nil
-}
-
-// SweepByteMedian is SweepByte with a per-value median decoder. The paper's
-// per-batch argmax vote needs the signal to exceed the largest of 256 noise
-// draws within a single batch, which dies once jitter rivals the few-cycle
-// signal; taking the extreme of per-value *medians* suppresses jitter by
-// ~1/sqrt(batches) while staying immune to the heavy-tailed interrupt
-// spikes that break a plain mean (see the NoiseSweep experiment).
+// SweepByteMedian is SweepByte with the per-value median decoder, which
+// tolerates several times more timer jitter than the vote.
 func (pr *Prober) SweepByteMedian(target uint64, batches int, sign Sign, prep func()) (byte, error) {
-	sp := pr.m.Obs.StartSpan("core.sweepByteMedian", pr.m.Pipe.Cycle())
-	sp.AttrInt("batches", batches)
-	sp.AttrBool("signLonger", sign == SignLonger)
-	b, err := pr.sweepByteMedian(target, batches, sign, prep)
-	if err == nil {
-		sp.AttrU64("decoded", uint64(b))
-	}
-	sp.End(pr.m.Pipe.Cycle())
-	return b, err
+	return pr.sweep(target, decoder{warmup: 16, batches: batches, sign: sign, median: true}, prep)
 }
 
-func (pr *Prober) sweepByteMedian(target uint64, batches int, sign Sign, prep func()) (byte, error) {
-	if batches <= 0 {
-		return 0, errors.New("core: batches must be positive")
-	}
-	for i := 0; i < 16; i++ {
+func (pr *Prober) sweep(target uint64, d decoder, prep func()) (byte, error) {
+	return d.decode(pr.m, func(test uint64) (uint64, error) {
 		if prep != nil {
 			prep()
 		}
-		if _, err := pr.Probe(target, 256, 0); err != nil {
-			return 0, err
-		}
-	}
-	samples := make([][]uint64, 256)
-	for batch := 0; batch < batches; batch++ {
-		bsp := pr.m.Obs.StartSpan("core.sweepByteMedian.batch", pr.m.Pipe.Cycle())
-		bsp.AttrInt("batch", batch)
-		for tv := 0; tv < 256; tv++ {
-			if prep != nil {
-				prep()
-			}
-			tote, err := pr.Probe(target, uint64(tv), 0)
-			if err != nil {
-				return 0, err
-			}
-			samples[tv] = append(samples[tv], tote)
-		}
-		bsp.End(pr.m.Pipe.Cycle())
-	}
-	medians := make([]uint64, 256)
-	for tv := range samples {
-		medians[tv] = stats.MedianU64(samples[tv])
-	}
-	if sign == SignLonger {
-		return byte(stats.Argmax(medians)), nil
-	}
-	return byte(stats.Argmin(medians)), nil
+		return pr.Probe(target, test, 0)
+	})
 }
 
 // ProbeStable measures one trigger/no-trigger probe after two de-training

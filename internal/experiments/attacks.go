@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"whisper/internal/baseline"
 	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
@@ -85,71 +86,17 @@ func farmMeltdown(ctx context.Context, ex Exec, model cpu.Model, cfg kernel.Conf
 // it boots itself, and AttackSuite on each cell's machine. k stays the
 // caller's; RunAttack neither recycles nor reboots it.
 func RunAttack(k *kernel.Kernel, family string, secret []byte) (string, error) {
-	m := k.Machine()
 	switch family {
-	case "cc":
-		a, err := core.NewTETCovertChannel(k)
+	case "cc", "md", "zbl", "rsb", "v1":
+		res, err := leak(k, leakSpec{family: family, secret: secret, rsbAt: 0x500})
 		if err != nil {
 			return "", err
 		}
-		res, err := a.Transfer(secret)
-		if err != nil {
-			return "", err
-		}
-		return leakReport(m, "TET covert channel", res, secret), nil
-	case "md":
-		k.WriteSecret(secret)
-		a, err := core.NewTETMeltdown(k)
-		if err != nil {
-			return "", err
-		}
-		res, err := a.Leak(k.SecretVA(), len(secret))
-		if err != nil {
-			return "", err
-		}
-		return leakReport(m, "TET-Meltdown", res, secret), nil
-	case "zbl":
-		k.WriteSecret(secret)
-		a, err := core.NewTETZombieload(k)
-		if err != nil {
-			return "", err
-		}
-		res, err := a.Leak(len(secret))
-		if err != nil {
-			return "", err
-		}
-		return leakReport(m, "TET-Zombieload", res, secret), nil
-	case "rsb":
-		secretVA := uint64(kernel.UserDataBase + 0x500)
-		pa, ok := k.UserAS().Translate(secretVA)
-		if !ok {
-			return "", fmt.Errorf("secret VA unmapped")
-		}
-		m.Phys.StoreBytes(pa, secret)
-		a, err := core.NewTETRSB(k)
-		if err != nil {
-			return "", err
-		}
-		res, err := a.Leak(secretVA, len(secret))
-		if err != nil {
-			return "", err
-		}
-		return leakReport(m, "TET-Spectre-RSB", res, secret), nil
-	case "v1":
-		v1, err := core.NewTETSpectreV1(k)
-		if err != nil {
-			return "", err
-		}
-		pa, ok := k.UserAS().Translate(v1.ArrayVA() + v1.ArrayLen())
-		if !ok {
-			return "", fmt.Errorf("V1 secret region unmapped")
-		}
-		m.Phys.StoreBytes(pa, secret)
-		res, err := v1.Leak(v1.ArrayLen(), len(secret))
-		if err != nil {
-			return "", err
-		}
-		return leakReport(m, "TET-Spectre-V1 (extension)", res, secret), nil
+		m := k.Machine()
+		return fmt.Sprintf("%s leaked %q\n", leakTitles[family], res.Data) +
+			fmt.Sprintf("  throughput %.1f B/s, byte error rate %.1f%%, %d simulated cycles (%.4fs at %.1f GHz)\n",
+				res.Bps, stats.ByteErrorRate(res.Data, secret)*100, res.Cycles,
+				m.Seconds(res.Cycles), m.Model.ClockHz/1e9), nil
 	case "kaslr":
 		a, err := core.NewTETKASLR(k)
 		if err != nil {
@@ -181,12 +128,124 @@ func RunAttack(k *kernel.Kernel, family string, secret []byte) (string, error) {
 	return "", unknownAttack(family)
 }
 
-// leakReport renders the two-line block of a leak that recovers want.
-func leakReport(m *cpu.Machine, name string, res core.LeakResult, want []byte) string {
-	return fmt.Sprintf("%s leaked %q\n", name, res.Data) +
-		fmt.Sprintf("  throughput %.1f B/s, byte error rate %.1f%%, %d simulated cycles (%.4fs at %.1f GHz)\n",
-			res.Bps, stats.ByteErrorRate(res.Data, want)*100, res.Cycles,
-			m.Seconds(res.Cycles), m.Model.ClockHz/1e9)
+// leakTitles names each leak family in its RunAttack report block.
+var leakTitles = map[string]string{
+	"cc":  "TET covert channel",
+	"md":  "TET-Meltdown",
+	"zbl": "TET-Zombieload",
+	"rsb": "TET-Spectre-RSB",
+	"v1":  "TET-Spectre-V1 (extension)",
+}
+
+// leakSpec is one plant-and-leak run. The sweeps that leak differ only in
+// this data.
+type leakSpec struct {
+	// family is cc, md, zbl, rsb or v1, or a cache-channel baseline: fr
+	// (Flush+Reload) or md-fr (Meltdown with a Flush+Reload probe array).
+	family string
+	// secret is the bytes to recover: sent through the channel for cc and
+	// fr, planted where the family reads it for the others.
+	secret []byte
+	// plant, when set, is planted instead of secret, which is then its
+	// prefix (Table 2 plants its whole sentence and recovers a few bytes).
+	plant []byte
+	// rsbAt is where rsb plants: the offset from kernel.UserDataBase.
+	rsbAt uint64
+	// batches overrides the TET families' vote batches when > 0.
+	batches int
+	// median selects md's per-value median decode.
+	median bool
+}
+
+// leak plants s.secret where s.family reads it, builds the attack on k and
+// leaks the secret back. It is the one plant-and-leak path: RunAttack,
+// Table 2, Throughput, Mitigations and Noise all leak through it (Stealth,
+// which samples a detector between bytes, keeps its own loop). Each
+// family keeps its order of operations, which fixes the machine's RNG
+// stream: md, md-fr, zbl and rsb plant before they construct; v1 constructs
+// first (its constructor writes the array length), then plants.
+func leak(k *kernel.Kernel, s leakSpec) (core.LeakResult, error) {
+	n, plant := len(s.secret), s.plant
+	if plant == nil {
+		plant = s.secret
+	}
+	switch s.family {
+	case "cc":
+		a, err := core.NewTETCovertChannel(k)
+		if err != nil {
+			return core.LeakResult{}, err
+		}
+		return a.Transfer(s.secret)
+	case "fr":
+		a, err := baseline.NewFlushReload(k)
+		if err != nil {
+			return core.LeakResult{}, err
+		}
+		return a.Transfer(s.secret)
+	case "md":
+		k.WriteSecret(plant)
+		a, err := core.NewTETMeltdown(k)
+		if err != nil {
+			return core.LeakResult{}, err
+		}
+		setBatches(&a.Batches, s.batches)
+		a.MedianDecode = s.median
+		return a.Leak(k.SecretVA(), n)
+	case "md-fr":
+		k.WriteSecret(plant)
+		a, err := baseline.NewMeltdownFR(k)
+		if err != nil {
+			return core.LeakResult{}, err
+		}
+		return a.Leak(k.SecretVA(), n)
+	case "zbl":
+		k.WriteSecret(plant)
+		a, err := core.NewTETZombieload(k)
+		if err != nil {
+			return core.LeakResult{}, err
+		}
+		setBatches(&a.Batches, s.batches)
+		return a.Leak(n)
+	case "rsb":
+		va := kernel.UserDataBase + s.rsbAt
+		if err := plantUser(k, va, plant); err != nil {
+			return core.LeakResult{}, err
+		}
+		a, err := core.NewTETRSB(k)
+		if err != nil {
+			return core.LeakResult{}, err
+		}
+		setBatches(&a.Batches, s.batches)
+		return a.Leak(va, n)
+	case "v1":
+		a, err := core.NewTETSpectreV1(k)
+		if err != nil {
+			return core.LeakResult{}, err
+		}
+		if err := plantUser(k, a.ArrayVA()+a.ArrayLen(), plant); err != nil {
+			return core.LeakResult{}, err
+		}
+		setBatches(&a.Batches, s.batches)
+		return a.Leak(a.ArrayLen(), n)
+	}
+	return core.LeakResult{}, fmt.Errorf("experiments: no leak family %q", s.family)
+}
+
+// plantUser stores secret at the attacker-process address va.
+func plantUser(k *kernel.Kernel, va uint64, secret []byte) error {
+	pa, ok := k.UserAS().Translate(va)
+	if !ok {
+		return fmt.Errorf("experiments: secret VA %#x unmapped", va)
+	}
+	k.Machine().Phys.StoreBytes(pa, secret)
+	return nil
+}
+
+// setBatches overrides a family's default vote batches when n > 0.
+func setBatches(batches *int, n int) {
+	if n > 0 {
+		*batches = n
+	}
 }
 
 // SelectAttacks validates an attack filter and returns it in block order.

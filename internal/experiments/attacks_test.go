@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,6 +10,10 @@ import (
 	"whisper/internal/kernel"
 	"whisper/internal/sched"
 )
+
+// goldenSuiteSHA256 is the SHA-256 of TestAttackSuiteBlocks' full suite,
+// captured before the attack layer's leak paths were merged into one.
+const goldenSuiteSHA256 = "062a3c9f17a29203efc62989b1f21563f1f4f4d670c67521fee03785b720dbf7"
 
 // TestAttackSuiteBlocks pins how AttackSuite assembles its output from one
 // block per family: the suite is byte-identical at Parallel 1 and 4, a
@@ -33,6 +39,9 @@ func TestAttackSuiteBlocks(t *testing.T) {
 	}
 	if par != full {
 		t.Fatalf("suite differs between Parallel 1 and 4:\n%s\nvs\n%s", full, par)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(full))); got != goldenSuiteSHA256 {
+		t.Errorf("suite SHA-256 %s, want %s; the suite now reads\n%s", got, goldenSuiteSHA256, full)
 	}
 
 	rest := full
@@ -80,5 +89,48 @@ func TestAttackSuiteBlocks(t *testing.T) {
 	defer recycle(k)
 	if _, err := RunAttack(k, "rowhammer", secret); err == nil {
 		t.Fatal("RunAttack accepted an unknown family")
+	}
+}
+
+// TestEveryLeakEmitsTheLeakSpans pins that every family leaks through
+// core.LeakBytes: each leaves one core.leak span naming its attack, and one
+// core.leak.byte span per recovered byte carrying that byte's value.
+func TestEveryLeakEmitsTheLeakSpans(t *testing.T) {
+	secret := []byte("ab")
+	for _, c := range []struct{ family, attack string }{
+		{"cc", "TET-CC"}, {"md", "TET-Meltdown"}, {"zbl", "TET-Zombieload"}, {"rsb", "TET-RSB"},
+		{"v1", "TET-V1"}, {"fr", "Flush+Reload"}, {"md-fr", "Meltdown-F+R"},
+	} {
+		m := cpu.MustMachine(cpu.I7_7700(), 5)
+		r := m.EnableObs()
+		k, err := kernel.Boot(m, kernel.Config{KASLR: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := leak(k, leakSpec{family: c.family, secret: secret, rsbAt: 0x300, batches: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.family, err)
+		}
+		var attacks, values []string
+		for _, sp := range r.Spans() {
+			for _, a := range sp.Attrs {
+				switch {
+				case sp.Name == "core.leak" && a.Key == "attack":
+					attacks = append(attacks, a.Value)
+				case sp.Name == "core.leak.byte" && a.Key == "value":
+					values = append(values, a.Value)
+				}
+			}
+		}
+		want := make([]string, len(res.Data))
+		for i, b := range res.Data {
+			want[i] = fmt.Sprint(b)
+		}
+		if len(attacks) != 1 || attacks[0] != c.attack {
+			t.Errorf("%s: core.leak attack attributes %q, want one %q", c.family, attacks, c.attack)
+		}
+		if fmt.Sprint(values) != fmt.Sprint(want) {
+			t.Errorf("%s: core.leak.byte values %v, want %v", c.family, values, want)
+		}
 	}
 }

@@ -89,15 +89,7 @@ func condRow(k *kernel.Kernel, c isa.Cond) (CondRow, error) {
 		p.SetReg(isa.RBX, core.UnmappedVA)
 		p.SetReg(isa.RCX, cx)
 		p.SetReg(isa.RDX, dx)
-		for attempt := 0; attempt < 4; attempt++ {
-			if _, err := p.Exec(prog, 500_000); err != nil {
-				return 0, err
-			}
-			if t1, t2 := p.Reg(isa.RSI), p.Reg(isa.RDI); t2 >= t1 {
-				return t2 - t1, nil
-			}
-		}
-		return 0, fmt.Errorf("condfamily: timer unusable")
+		return core.ToTE(p, prog)
 	}
 	measure := func(cx, dx uint64) (uint64, error) {
 		// De-train with quiet probes, then measure; median of 9.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -309,6 +310,11 @@ func TestRunAllReportJSON(t *testing.T) {
 	}
 }
 
+// goldenReportSHA256 is the SHA-256 of RunAll's JSON report at
+// TestSweepsMatchReport's sizes, captured before the attack layer's leak
+// paths were merged into one. Every served byte must keep it.
+const goldenReportSHA256 = "e00b0a9ea570b50ea8d03e544735650e62eadc4039a3f667fcff2f2b634f2f67"
+
 // TestSweepsMatchReport pins that the served sweeps and the report are one
 // set of artefacts: every artefact runs through RunSweep, each bundled one
 // encodes to exactly its Report field, and "report" is RunAll's bundle.
@@ -338,6 +344,9 @@ func TestSweepsMatchReport(t *testing.T) {
 	report, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(report)); got != goldenReportSHA256 {
+		t.Errorf("report SHA-256 %s, want %s: an artefact's bytes changed", got, goldenReportSHA256)
 	}
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(report, &fields); err != nil {

@@ -32,12 +32,11 @@ var mitSecret = []byte("MITI")
 // (Table 2's patched parts). Every cell boots its own machine from the same
 // seed, so the cells are independent and collected in matrix order.
 func Mitigations(ex Exec, seed int64) ([]MitigationRow, error) {
-	// leak plants mitSecret, runs attack's leak of it under defense def and
-	// records whether the attack still recovers it.
-	leak := func(def, attack, note string, run func(*kernel.Kernel) (core.LeakResult, error)) func(*kernel.Kernel) (MitigationRow, error) {
+	// row leaks mitSecret with spec under defense def and records whether
+	// the attack still recovers it.
+	row := func(def, attack, note string, spec leakSpec) func(*kernel.Kernel) (MitigationRow, error) {
 		return func(k *kernel.Kernel) (MitigationRow, error) {
-			k.WriteSecret(mitSecret)
-			res, err := run(k)
+			res, err := leak(k, spec)
 			if err != nil {
 				return MitigationRow{}, err
 			}
@@ -49,33 +48,13 @@ func Mitigations(ex Exec, seed int64) ([]MitigationRow, error) {
 		}
 	}
 	md := func(def, note string) func(*kernel.Kernel) (MitigationRow, error) {
-		return leak(def, "TET-MD", note, func(k *kernel.Kernel) (core.LeakResult, error) {
-			a, err := core.NewTETMeltdown(k)
-			if err != nil {
-				return core.LeakResult{}, err
-			}
-			a.Batches = 3
-			return a.Leak(k.SecretVA(), len(mitSecret))
-		})
+		return row(def, "TET-MD", note, leakSpec{family: "md", secret: mitSecret, batches: 3})
 	}
 	frmd := func(def, note string) func(*kernel.Kernel) (MitigationRow, error) {
-		return leak(def, "Meltdown-F+R", note, func(k *kernel.Kernel) (core.LeakResult, error) {
-			fr, err := baseline.NewMeltdownFR(k)
-			if err != nil {
-				return core.LeakResult{}, err
-			}
-			return fr.Leak(k.SecretVA(), len(mitSecret))
-		})
+		return row(def, "Meltdown-F+R", note, leakSpec{family: "md-fr", secret: mitSecret})
 	}
 	zbl := func(def, note string) func(*kernel.Kernel) (MitigationRow, error) {
-		return leak(def, "TET-ZBL", note, func(k *kernel.Kernel) (core.LeakResult, error) {
-			z, err := core.NewTETZombieload(k)
-			if err != nil {
-				return core.LeakResult{}, err
-			}
-			z.Batches = 3
-			return z.Leak(len(mitSecret))
-		})
+		return row(def, "TET-ZBL", note, leakSpec{family: "zbl", secret: mitSecret, batches: 3})
 	}
 
 	vulnerable := cpu.I7_7700()

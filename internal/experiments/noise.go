@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
 	"whisper/internal/stats"
@@ -52,14 +51,7 @@ func NoiseSweep(ex Exec, seed int64) ([]NoisePoint, error) {
 // machine whose RDTSC jitter is sigma.
 func noisePoint(k *kernel.Kernel, sigma float64, batches int, mean bool) (NoisePoint, error) {
 	secret := []byte("NZ")
-	k.WriteSecret(secret)
-	md, err := core.NewTETMeltdown(k)
-	if err != nil {
-		return NoisePoint{}, err
-	}
-	md.Batches = batches
-	md.MedianDecode = mean
-	res, err := md.Leak(k.SecretVA(), len(secret))
+	res, err := leak(k, leakSpec{family: "md", secret: secret, batches: batches, median: mean})
 	if err != nil {
 		return NoisePoint{}, err
 	}

@@ -82,79 +82,43 @@ var table2Attacks = []struct {
 	name string
 	run  func(k *kernel.Kernel, params Table2Params, row *Table2Row) error
 }{
-	{"CC", table2CC},
-	{"MD", table2MD},
-	{"ZBL", table2ZBL},
-	{"RSB", table2RSB},
+	{"CC", table2Leak("cc")},
+	{"MD", table2Leak("md")},
+	{"ZBL", table2Leak("zbl")},
+	{"RSB", table2Leak("rsb")},
 	{"KASLR", table2KASLR},
 }
 
 // table2Secret is the payload the leak attacks recover.
 var table2Secret = []byte("Whisper: timing the transient execution!")
 
-func table2CC(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
-	cc, err := core.NewTETCovertChannel(k)
-	if err != nil {
-		return err
+// table2Leak is the leak column of family: it plants table2Secret, leaks
+// the column's share of it and records the column's error rate and verdict.
+func table2Leak(family string) func(*kernel.Kernel, Table2Params, *Table2Row) error {
+	return func(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
+		spec := leakSpec{family: family, plant: table2Secret, rsbAt: 0x300}
+		var n int
+		var works *bool
+		var errRate *float64
+		switch family {
+		case "cc":
+			n, works, errRate = params.CCBytes, &row.CC, &row.ErrCC
+		case "md":
+			n, works, errRate, spec.batches = params.MDBytes, &row.MD, &row.ErrMD, 3
+		case "zbl":
+			n, works, errRate, spec.batches = params.ZBLBytes, &row.ZBL, &row.ErrZBL, 3
+		case "rsb":
+			n, works, errRate, spec.batches = params.RSBBytes, &row.RSB, &row.ErrRSB, 2
+		}
+		spec.secret = table2Secret[:n]
+		res, err := leak(k, spec)
+		if err != nil {
+			return err
+		}
+		*errRate = stats.ByteErrorRate(res.Data, spec.secret)
+		*works = *errRate <= successThreshold
+		return nil
 	}
-	payload := table2Secret[:params.CCBytes]
-	res, err := cc.Transfer(payload)
-	if err != nil {
-		return err
-	}
-	row.ErrCC = stats.ByteErrorRate(res.Data, payload)
-	row.CC = row.ErrCC <= successThreshold
-	return nil
-}
-
-func table2MD(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
-	k.WriteSecret(table2Secret)
-	md, err := core.NewTETMeltdown(k)
-	if err != nil {
-		return err
-	}
-	md.Batches = 3
-	res, err := md.Leak(k.SecretVA(), params.MDBytes)
-	if err != nil {
-		return err
-	}
-	row.ErrMD = stats.ByteErrorRate(res.Data, table2Secret[:params.MDBytes])
-	row.MD = row.ErrMD <= successThreshold
-	return nil
-}
-
-func table2ZBL(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
-	k.WriteSecret(table2Secret)
-	z, err := core.NewTETZombieload(k)
-	if err != nil {
-		return err
-	}
-	z.Batches = 3
-	res, err := z.Leak(params.ZBLBytes)
-	if err != nil {
-		return err
-	}
-	row.ErrZBL = stats.ByteErrorRate(res.Data, table2Secret[:params.ZBLBytes])
-	row.ZBL = row.ErrZBL <= successThreshold
-	return nil
-}
-
-func table2RSB(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
-	secretVA := uint64(kernel.UserDataBase + 0x300)
-	pa, _ := k.UserAS().Translate(secretVA)
-	k.Machine().Phys.StoreBytes(pa, table2Secret)
-	rsb, err := core.NewTETRSB(k)
-	if err != nil {
-		return err
-	}
-	rsb.Batches = 2
-	res, err := rsb.Leak(secretVA, params.RSBBytes)
-	if err != nil {
-		return err
-	}
-	row.ErrRSB = stats.ByteErrorRate(res.Data, table2Secret[:params.RSBBytes])
-	row.RSB = row.ErrRSB <= successThreshold
-	return nil
 }
 
 func table2KASLR(k *kernel.Kernel, params Table2Params, row *Table2Row) error {

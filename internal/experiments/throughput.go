@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"whisper/internal/baseline"
 	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
@@ -38,26 +37,26 @@ func randomPayload(n int, seed byte) []byte {
 	return out
 }
 
-func byteRow(name, cpuName string, payload, got []byte, res core.LeakResult, paperBps, paperErr float64) ThroughputRow {
+func byteRow(name, cpuName string, payload []byte, res core.LeakResult, paperBps, paperErr float64) ThroughputRow {
 	return ThroughputRow{
 		Name:     name,
 		CPU:      cpuName,
 		Bytes:    len(payload),
 		Bps:      res.Bps,
-		ErrRate:  stats.ByteErrorRate(got, payload),
+		ErrRate:  stats.ByteErrorRate(res.Data, payload),
 		ErrKind:  "byte",
 		PaperBps: paperBps,
 		PaperErr: paperErr,
 	}
 }
 
-func bitRow(name, cpuName string, payload, got []byte, res core.LeakResult, paperBps, paperErr float64) ThroughputRow {
+func bitRow(name, cpuName string, payload []byte, res core.LeakResult, paperBps, paperErr float64) ThroughputRow {
 	return ThroughputRow{
 		Name:     name,
 		CPU:      cpuName,
 		Bytes:    len(payload),
 		Bps:      res.Bps,
-		ErrRate:  stats.BitErrorRate(got, payload),
+		ErrRate:  stats.BitErrorRate(res.Data, payload),
 		ErrKind:  "bit",
 		PaperBps: paperBps,
 		PaperErr: paperErr,
@@ -71,65 +70,26 @@ func bitRow(name, cpuName string, payload, got []byte, res core.LeakResult, pape
 // table reads identically at any Exec.Parallel.
 func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 	kaby, cfg := cpu.I7_7700(), kernel.Config{KASLR: true}
+	// leakCell leaks spec.secret on a machine of model booted from seed+j.
+	leakCell := func(key string, model cpu.Model, j int64, name string, spec leakSpec, paperBps, paperErr float64) cell[ThroughputRow] {
+		return cell[ThroughputRow]{key: key, model: model, cfg: cfg, seed: seed + j, run: func(k *kernel.Kernel) (ThroughputRow, error) {
+			res, err := leak(k, spec)
+			if err != nil {
+				return ThroughputRow{}, fmt.Errorf("throughput %s: %w", name, err)
+			}
+			return byteRow(name, k.Machine().Model.Name, spec.secret, res, paperBps, paperErr), nil
+		}}
+	}
 	return runCells(ex, "throughput", seed, []cell[ThroughputRow]{
 		// TET-CC on i7-7700 (paper: 500 B/s, <5 % error).
-		{key: "tet-cc", model: kaby, cfg: cfg, seed: seed, run: func(k *kernel.Kernel) (ThroughputRow, error) {
-			cc, err := core.NewTETCovertChannel(k)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			payload := randomPayload(bytes, 1)
-			res, err := cc.Transfer(payload)
-			if err != nil {
-				return ThroughputRow{}, fmt.Errorf("throughput CC: %w", err)
-			}
-			return byteRow("TET-CC", k.Machine().Model.Name, payload, res.Data, res, 500, 0.05), nil
-		}},
+		leakCell("tet-cc", kaby, 0, "TET-CC", leakSpec{family: "cc", secret: randomPayload(bytes, 1)}, 500, 0.05),
 		// TET-MD on i7-7700 (paper: 50 B/s, <3 % error).
-		{key: "tet-md", model: kaby, cfg: cfg, seed: seed + 1, run: func(k *kernel.Kernel) (ThroughputRow, error) {
-			payload := randomPayload(bytes, 2)
-			k.WriteSecret(payload)
-			md, err := core.NewTETMeltdown(k)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			res, err := md.Leak(k.SecretVA(), len(payload))
-			if err != nil {
-				return ThroughputRow{}, fmt.Errorf("throughput MD: %w", err)
-			}
-			return byteRow("TET-MD", k.Machine().Model.Name, payload, res.Data, res, 50, 0.03), nil
-		}},
+		leakCell("tet-md", kaby, 1, "TET-MD", leakSpec{family: "md", secret: randomPayload(bytes, 2)}, 50, 0.03),
 		// TET-ZBL on i7-7700 (paper reports success but no rate).
-		{key: "tet-zbl", model: kaby, cfg: cfg, seed: seed + 2, run: func(k *kernel.Kernel) (ThroughputRow, error) {
-			payload := randomPayload(bytes, 3)
-			k.WriteSecret(payload)
-			z, err := core.NewTETZombieload(k)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			res, err := z.Leak(len(payload))
-			if err != nil {
-				return ThroughputRow{}, fmt.Errorf("throughput ZBL: %w", err)
-			}
-			return byteRow("TET-ZBL", k.Machine().Model.Name, payload, res.Data, res, 0, 0), nil
-		}},
+		leakCell("tet-zbl", kaby, 2, "TET-ZBL", leakSpec{family: "zbl", secret: randomPayload(bytes, 3)}, 0, 0),
 		// TET-RSB on i9-13900K (paper: 21.5 KB/s, <0.1 % error).
-		{key: "tet-rsb", model: cpu.I9_13900K(), cfg: cfg, seed: seed + 3, run: func(k *kernel.Kernel) (ThroughputRow, error) {
-			m := k.Machine()
-			payload := randomPayload(bytes, 4)
-			secretVA := uint64(kernel.UserDataBase + 0x400)
-			pa, _ := k.UserAS().Translate(secretVA)
-			m.Phys.StoreBytes(pa, payload)
-			rsb, err := core.NewTETRSB(k)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			res, err := rsb.Leak(secretVA, len(payload))
-			if err != nil {
-				return ThroughputRow{}, fmt.Errorf("throughput RSB: %w", err)
-			}
-			return byteRow("TET-RSB", m.Model.Name, payload, res.Data, res, 21500, 0.001), nil
-		}},
+		leakCell("tet-rsb", cpu.I9_13900K(), 3, "TET-RSB",
+			leakSpec{family: "rsb", secret: randomPayload(bytes, 4), rsbAt: 0x400}, 21500, 0.001),
 		// SMT channel, both operating points, on i7-7700.
 		{key: "smt-reliable", model: kaby, cfg: cfg, seed: seed + 4, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			ch, err := smt.NewChannel(k, smt.ModeReliable)
@@ -141,7 +101,7 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			if err != nil {
 				return ThroughputRow{}, fmt.Errorf("throughput SMT: %w", err)
 			}
-			return bitRow("SMT-CC (reliable)", k.Machine().Model.Name, payload, res.Data, res, 1, 0.05), nil
+			return bitRow("SMT-CC (reliable)", k.Machine().Model.Name, payload, res, 1, 0.05), nil
 		}},
 		{key: "smt-secsmt", model: kaby, cfg: cfg, seed: seed + 5, run: func(k *kernel.Kernel) (ThroughputRow, error) {
 			ch, err := smt.NewChannel(k, smt.ModeSecSMT)
@@ -153,34 +113,11 @@ func Throughput(ex Exec, bytes int, seed int64) ([]ThroughputRow, error) {
 			if err != nil {
 				return ThroughputRow{}, fmt.Errorf("throughput SecSMT: %w", err)
 			}
-			return bitRow("SMT-CC (SecSMT eval)", k.Machine().Model.Name, payload, res.Data, res, 268_000, 0.28), nil
+			return bitRow("SMT-CC (SecSMT eval)", k.Machine().Model.Name, payload, res, 268_000, 0.28), nil
 		}},
 		// Baselines for comparison.
-		{key: "baseline-fr", model: kaby, cfg: cfg, seed: seed + 6, run: func(k *kernel.Kernel) (ThroughputRow, error) {
-			fr, err := baseline.NewFlushReload(k)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			payload := randomPayload(bytes, 7)
-			res, err := fr.Transfer(payload)
-			if err != nil {
-				return ThroughputRow{}, fmt.Errorf("throughput F+R: %w", err)
-			}
-			return byteRow("Flush+Reload CC (baseline)", k.Machine().Model.Name, payload, res.Data, res, 0, 0), nil
-		}},
-		{key: "baseline-md-fr", model: kaby, cfg: cfg, seed: seed + 7, run: func(k *kernel.Kernel) (ThroughputRow, error) {
-			payload := randomPayload(bytes, 8)
-			k.WriteSecret(payload)
-			md, err := baseline.NewMeltdownFR(k)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			res, err := md.Leak(k.SecretVA(), len(payload))
-			if err != nil {
-				return ThroughputRow{}, fmt.Errorf("throughput MD-F+R: %w", err)
-			}
-			return byteRow("Meltdown-F+R (baseline)", k.Machine().Model.Name, payload, res.Data, res, 0, 0), nil
-		}},
+		leakCell("baseline-fr", kaby, 6, "Flush+Reload CC (baseline)", leakSpec{family: "fr", secret: randomPayload(bytes, 7)}, 0, 0),
+		leakCell("baseline-md-fr", kaby, 7, "Meltdown-F+R (baseline)", leakSpec{family: "md-fr", secret: randomPayload(bytes, 8)}, 0, 0),
 	})
 }
 

@@ -8,6 +8,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"whisper/internal/cpu"
 	"whisper/internal/paging"
@@ -148,12 +149,16 @@ func bootKernel(m *cpu.Machine, cfg Config) (*Kernel, error) {
 	}
 	k.secretVA = DirectMapBase
 
-	// FGKASLR: shuffle function offsets within the image.
-	offsets := make([]uint64, 0, len(KernelFunctions))
+	// FGKASLR: shuffle function offsets within the image. The names go in
+	// sorted order, not map order, so the layout is a function of the seed.
 	names := make([]string, 0, len(KernelFunctions))
-	for n, off := range KernelFunctions {
+	for n := range KernelFunctions {
 		names = append(names, n)
-		offsets = append(offsets, off)
+	}
+	sort.Strings(names)
+	offsets := make([]uint64, len(names))
+	for i, n := range names {
+		offsets[i] = KernelFunctions[n]
 	}
 	if cfg.FGKASLR {
 		// Reshuffle until no function keeps its link-time offset: FGKASLR's

@@ -132,6 +132,16 @@ func TestFGKASLRShufflesFunctions(t *testing.T) {
 	if _, err := plain.FunctionVA("no_such_symbol"); err == nil {
 		t.Fatal("unknown symbol resolved")
 	}
+	// The shuffled layout is a function of the seed alone.
+	for i := 0; i < 10; i++ {
+		again := boot(t, Config{KASLR: true, FGKASLR: true}, 6)
+		for name := range KernelFunctions {
+			want, _ := shuffled.FunctionVA(name)
+			if got, _ := again.FunctionVA(name); got != want {
+				t.Fatalf("boot %d: %s at %#x, first boot put it at %#x", i+2, name, got, want)
+			}
+		}
+	}
 }
 
 func TestSecretWriteAndVictimTouch(t *testing.T) {
