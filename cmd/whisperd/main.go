@@ -27,7 +27,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -39,7 +38,6 @@ import (
 	"time"
 
 	"whisper/internal/cli"
-	"whisper/internal/obs"
 	"whisper/internal/obs/logging"
 	"whisper/internal/server"
 )
@@ -70,9 +68,6 @@ func main() {
 		os.Exit(1)
 	}
 	fatal := func(err error) {
-		if errors.Is(err, http.ErrServerClosed) {
-			return
-		}
 		log.Error("whisperd failed", slog.String("error", err.Error()))
 		os.Exit(1)
 	}
@@ -92,7 +87,6 @@ func main() {
 		return
 	}
 
-	reg := obs.NewRegistry()
 	srv, err := server.New(server.Config{
 		Parallel:       *parallel,
 		MaxInflight:    *maxInflight,
@@ -100,7 +94,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		CacheEntries:   *cacheEntries,
 		CacheDir:       *cacheDir,
-		Obs:            reg,
 		Log:            log,
 	})
 	if err != nil {
@@ -111,7 +104,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
 	log.Info("whisperd serving",
 		slog.String("addr", "http://"+ln.Addr().String()),
 		slog.Any("experiments", server.Experiments()),
@@ -123,14 +115,14 @@ func main() {
 		slog.String("log_level", *logLevel),
 		slog.String("log_format", *logFormat))
 
-	var dbg *http.Server
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fatal(err)
 		}
-		dbg = &http.Server{Handler: debugMux()}
+		dbg := &http.Server{Handler: debugMux()}
 		go dbg.Serve(dln)
+		defer dbg.Close()
 		log.Info("debug endpoints serving",
 			slog.String("addr", "http://"+dln.Addr().String()),
 			slog.Any("paths", []string{"/debug/pprof/", "/debug/vars"}))
@@ -138,43 +130,11 @@ func main() {
 
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
+	if err := server.Serve(ctx, ln, srv, server.ServeOptions{
+		Log: log, DrainTimeout: *drainTimeout, TraceOut: *traceOut, MetricsOut: *metricsOut,
+	}); err != nil {
 		fatal(err)
-	case <-ctx.Done():
 	}
-
-	// Drain: refuse new work, let in-flight executions finish (or cancel
-	// them at the deadline), then close the HTTP side and flush telemetry.
-	log.Info("draining", slog.Duration("timeout", *drainTimeout),
-		slog.String("hint", "signal again to exit immediately"))
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Error("drain failed", slog.String("error", err.Error()))
-	}
-	if err := hs.Shutdown(drainCtx); err != nil {
-		log.Error("http shutdown failed", slog.String("error", err.Error()))
-	}
-	if dbg != nil {
-		dbg.Close()
-	}
-	if *traceOut != "" {
-		if err := reg.WriteTraceFile(*traceOut, nil); err != nil {
-			fatal(err)
-		}
-		log.Info("trace written", slog.String("path", *traceOut))
-	}
-	if *metricsOut != "" {
-		if err := reg.WriteMetricsFile(*metricsOut); err != nil {
-			fatal(err)
-		}
-		log.Info("metrics written", slog.String("path", *metricsOut))
-	}
-	log.Info("drained, bye")
 }
 
 // debugMux mounts the stdlib profiling surface on a dedicated mux, so the

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,8 +44,8 @@ import (
 
 	"whisper/internal/cli"
 	"whisper/internal/cluster"
-	"whisper/internal/obs"
 	"whisper/internal/obs/logging"
+	"whisper/internal/server"
 )
 
 func main() {
@@ -74,9 +73,6 @@ func main() {
 		os.Exit(1)
 	}
 	fatal := func(err error) {
-		if errors.Is(err, http.ErrServerClosed) {
-			return
-		}
 		log.Error("whispergate failed", slog.String("error", err.Error()))
 		os.Exit(1)
 	}
@@ -86,7 +82,6 @@ func main() {
 		fatal(err)
 	}
 
-	reg := obs.NewRegistry()
 	gw, err := cluster.New(cluster.Config{
 		Backends:       members,
 		ProbeInterval:  *probeInterval,
@@ -95,7 +90,6 @@ func main() {
 		LoadFactor:     *loadFactor,
 		ForwardTimeout: *fwdTimeout,
 		SweepParallel:  *sweepParallel,
-		Obs:            reg,
 		Log:            log,
 	})
 	if err != nil {
@@ -107,7 +101,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: gw.Handler()}
 	log.Info("whispergate serving",
 		slog.String("addr", "http://"+ln.Addr().String()),
 		slog.Any("backends", members),
@@ -134,38 +127,11 @@ func main() {
 
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
+	if err := server.Serve(ctx, ln, gw, server.ServeOptions{
+		Log: log, DrainTimeout: *drainTimeout, TraceOut: *traceOut, MetricsOut: *metricsOut,
+	}); err != nil {
 		fatal(err)
-	case <-ctx.Done():
 	}
-
-	log.Info("draining", slog.Duration("timeout", *drainTimeout),
-		slog.String("hint", "signal again to exit immediately"))
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := gw.Shutdown(drainCtx); err != nil {
-		log.Error("drain failed", slog.String("error", err.Error()))
-	}
-	if err := hs.Shutdown(drainCtx); err != nil {
-		log.Error("http shutdown failed", slog.String("error", err.Error()))
-	}
-	if *traceOut != "" {
-		if err := reg.WriteTraceFile(*traceOut, nil); err != nil {
-			fatal(err)
-		}
-		log.Info("trace written", slog.String("path", *traceOut))
-	}
-	if *metricsOut != "" {
-		if err := reg.WriteMetricsFile(*metricsOut); err != nil {
-			fatal(err)
-		}
-		log.Info("metrics written", slog.String("path", *metricsOut))
-	}
-	log.Info("drained, bye")
 }
 
 // loadBackends resolves the member list from the flag and/or file; both

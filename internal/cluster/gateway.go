@@ -9,11 +9,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"whisper/internal/obs"
-	"whisper/internal/obs/logging"
 	"whisper/internal/server"
 )
 
@@ -66,10 +64,9 @@ type Gateway struct {
 	log  *slog.Logger
 	pool *Pool
 	http *http.Client
-
-	mu       sync.Mutex
-	draining bool
-	inflight sync.WaitGroup
+	// requests gates /v1/run, /v1/sweep and /v1/experiments: Shutdown
+	// closes it and waits for them.
+	requests server.DrainGate
 }
 
 // New builds a Gateway over cfg.Backends. Call Start to begin health
@@ -96,40 +93,25 @@ func (g *Gateway) Start() { g.pool.Start() }
 // and sweeps finish (or are abandoned when ctx expires), and probing stops.
 // It may be called before Start and more than once.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.mu.Lock()
-	g.draining = true
-	g.mu.Unlock()
+	g.requests.Close()
 	g.reg.Gauge("gate.draining").Set(1)
 	g.pool.Stop()
-	done := make(chan struct{})
-	go func() {
-		g.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return g.requests.Wait(ctx)
 }
 
 // Draining reports whether Shutdown has begun.
-func (g *Gateway) Draining() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.draining
-}
+func (g *Gateway) Draining() bool { return g.requests.Closed() }
 
-// begin registers one in-flight request unless the gateway is draining.
-func (g *Gateway) begin() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.draining {
-		return false
+// gated runs h inside the drain gate, answering 503 once Shutdown has begun.
+func (g *Gateway) gated(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !g.requests.Enter() {
+			server.WriteError(w, r, http.StatusServiceUnavailable, "gateway draining")
+			return
+		}
+		defer g.requests.Leave()
+		h(w, r)
 	}
-	g.inflight.Add(1)
-	return true
 }
 
 // BackendHeader names the backend that served a forwarded response — the
@@ -139,46 +121,24 @@ const BackendHeader = "X-Whisper-Backend"
 
 // Handler returns the gateway's HTTP API: the whisperd-compatible /v1/run
 // and /v1/experiments, the scatter-gather /v1/sweep, and the gateway's own
-// health/readiness/telemetry endpoints.
+// health/readiness/telemetry endpoints. Every route runs under
+// server.RequestScope, and the request ID rides every backend hop, so one
+// client exchange correlates across the gateway log, each backend's access
+// log, and both Perfetto traces.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/run", g.handleRun)
-	mux.HandleFunc("/v1/sweep", g.handleSweep)
-	mux.HandleFunc("/v1/experiments", g.handleExperiments)
+	mux.HandleFunc("/v1/run", server.Only(http.MethodPost, g.gated(g.handleRun)))
+	mux.HandleFunc("/v1/sweep", server.Only(http.MethodPost, g.gated(g.handleSweep)))
+	mux.HandleFunc("/v1/experiments", server.Only(http.MethodGet, g.gated(g.handleExperiments)))
 	mux.HandleFunc("/healthz", g.handleHealth)
 	mux.HandleFunc("/readyz", g.handleReady)
-	mux.HandleFunc("/metrics", g.handleMetrics)
-	mux.HandleFunc("/traces", g.handleTraces)
-	return g.withRequestScope(mux)
-}
-
-// withRequestScope is the gateway's request-ID + access-log middleware.
-// The ID is adopted from (or minted into) X-Whisper-Request-Id and rides
-// every backend hop, so one client exchange correlates across the gateway
-// log, each backend's access log, and both Perfetto traces.
-func (g *Gateway) withRequestScope(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(server.RequestIDHeader)
-		if !obs.ValidRequestID(id) {
-			id = obs.NewRequestID()
+	server.MountTelemetry(mux, g.reg, g.pool.publishHealthGauges)
+	return server.RequestScope(g.log, "gateway request", func(rec *server.StatusRecorder) []slog.Attr {
+		return []slog.Attr{
+			slog.String("backend", rec.Header().Get(BackendHeader)),
+			slog.Int("backends_healthy", g.pool.Healthy()),
 		}
-		w.Header().Set(server.RequestIDHeader, id)
-		ctx := logging.WithRequestID(r.Context(), g.log, id)
-		rec := &server.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
-		start := time.Now()
-		h.ServeHTTP(rec, r.WithContext(ctx))
-		if log := logging.From(ctx); log.Enabled(ctx, slog.LevelInfo) {
-			log.LogAttrs(ctx, slog.LevelInfo, "gateway request",
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.Status),
-				slog.Int64("bytes", rec.Bytes),
-				slog.Int64("dur_us", time.Since(start).Microseconds()),
-				slog.String("backend", rec.Header().Get(BackendHeader)),
-				slog.Int("backends_healthy", g.pool.Healthy()),
-			)
-		}
-	})
+	}, mux)
 }
 
 // handleRun is POST /v1/run: normalize and hash locally (a malformed
@@ -186,23 +146,8 @@ func (g *Gateway) withRequestScope(h http.Handler) http.Handler {
 // forward with retry on the next replica, and relay the answering
 // backend's response verbatim.
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteError(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !g.begin() {
-		server.WriteError(w, r, http.StatusServiceUnavailable, "gateway draining")
-		return
-	}
-	defer g.inflight.Done()
-	var req server.Request
-	if status, err := server.DecodeBody(w, r, server.MaxRunBody, &req); err != nil {
-		server.WriteError(w, r, status, err.Error())
-		return
-	}
-	norm, err := req.Normalize()
-	if err != nil {
-		server.WriteError(w, r, http.StatusBadRequest, err.Error())
+	norm, ok := server.DecodeRun(w, r)
+	if !ok {
 		return
 	}
 	g.reg.Counter("gate.requests", obs.L("experiment", norm.Experiment)).Inc()
@@ -256,11 +201,8 @@ func (g *Gateway) forwardRun(ctx context.Context, norm server.Request) fwdResult
 	if err != nil {
 		return fwdResult{err: fmt.Errorf("cluster: encoding request: %w", err)}
 	}
-	sp := g.reg.StartDetachedWallSpan("gate.run." + norm.Experiment)
+	sp := g.reg.StartRequestSpan(ctx, "gate.run."+norm.Experiment)
 	sp.Attr("hash", hash)
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		sp.Attr(obs.RequestIDAttr, id)
-	}
 	res := g.forward(ctx, hash, http.MethodPost, "/v1/run", payload)
 	sp.Attr("backend", res.backend)
 	if res.err != nil {
@@ -373,15 +315,6 @@ func (g *Gateway) failed(ctx context.Context, b *backend, err error) fwdResult {
 // same index — through the same drain gate, candidate order, retries and
 // health accounting as /v1/run.
 func (g *Gateway) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		server.WriteError(w, r, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if !g.begin() {
-		server.WriteError(w, r, http.StatusServiceUnavailable, "gateway draining")
-		return
-	}
-	defer g.inflight.Done()
 	g.relay(w, r, g.forward(r.Context(), "experiments-index", http.MethodGet, "/v1/experiments", nil))
 }
 
@@ -425,16 +358,4 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(ready)
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g.pool.publishHealthGauges()
-	if err := server.ServeMetricsSnapshot(w, r, g.reg); err != nil {
-		server.WriteError(w, r, http.StatusBadRequest, err.Error())
-	}
-}
-
-func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	g.reg.ExportTrace(w, nil)
 }

@@ -882,26 +882,35 @@ func TestGatewayBadRequestNeverCostsABackendHop(t *testing.T) {
 	_, gwts := newTestGateway(t, Config{Backends: []string{a.addr()}})
 
 	tooManyCells := `{"cells":[` + strings.Repeat(`{"experiment":"table2"},`, maxSweepCells) + `{"experiment":"table2"}]}`
+	post := http.MethodPost
 	for _, c := range []struct {
-		name, path, body string
-		want             int
-		msg              string // substring the error must carry
+		name, method, path, body string
+		want                     int
+		msg                      string // substring the error must carry
+		allow                    string // the Allow header a 405 must carry
 	}{
-		{"not json", "/v1/run", `{not json`, http.StatusBadRequest, "bad request"},
-		{"unknown experiment", "/v1/run", `{"experiment":"no-such-experiment"}`, http.StatusBadRequest, "unknown experiment"},
-		{"unknown field", "/v1/run", `{"unknown_field":1}`, http.StatusBadRequest, "unknown field"},
-		{"over-bound size", "/v1/run", `{"experiment":"throughput","throughput_bytes":1073741824}`, http.StatusBadRequest, "throughput_bytes"},
-		{"oversized run body", "/v1/run", `{"experiment":"leak","secret":"` + strings.Repeat("s", server.MaxRunBody) + `"}`,
-			http.StatusRequestEntityTooLarge, "request body over"},
-		{"empty sweep", "/v1/sweep", `{"cells":[]}`, http.StatusBadRequest, "empty sweep"},
-		{"too many cells", "/v1/sweep", tooManyCells, http.StatusBadRequest, "4097 cells (max 4096)"},
-		{"bad cell 1", "/v1/sweep", `{"cells":[{"experiment":"table2"},{"experiment":"tableX"}]}`, http.StatusBadRequest, "cell 1: "},
-		{"over-bound cell", "/v1/sweep", `{"cells":[{"experiment":"table2"},{"experiment":"table3"},{"experiment":"kaslr","kaslr_reps":65}]}`,
-			http.StatusBadRequest, "cell 2: server: kaslr_reps 65"},
-		{"oversized sweep body", "/v1/sweep", `{"cells":[{"experiment":"leak","secret":"` + strings.Repeat("s", maxSweepBody) + `"}]}`,
-			http.StatusRequestEntityTooLarge, "request body over"},
+		{"not json", post, "/v1/run", `{not json`, http.StatusBadRequest, "bad request", ""},
+		{"unknown experiment", post, "/v1/run", `{"experiment":"no-such-experiment"}`, http.StatusBadRequest, "unknown experiment", ""},
+		{"unknown field", post, "/v1/run", `{"unknown_field":1}`, http.StatusBadRequest, "unknown field", ""},
+		{"over-bound size", post, "/v1/run", `{"experiment":"throughput","throughput_bytes":1073741824}`, http.StatusBadRequest, "throughput_bytes", ""},
+		{"oversized run body", post, "/v1/run", `{"experiment":"leak","secret":"` + strings.Repeat("s", server.MaxRunBody) + `"}`,
+			http.StatusRequestEntityTooLarge, "request body over", ""},
+		{"empty sweep", post, "/v1/sweep", `{"cells":[]}`, http.StatusBadRequest, "empty sweep", ""},
+		{"too many cells", post, "/v1/sweep", tooManyCells, http.StatusBadRequest, "4097 cells (max 4096)", ""},
+		{"bad cell 1", post, "/v1/sweep", `{"cells":[{"experiment":"table2"},{"experiment":"tableX"}]}`, http.StatusBadRequest, "cell 1: ", ""},
+		{"over-bound cell", post, "/v1/sweep", `{"cells":[{"experiment":"table2"},{"experiment":"table3"},{"experiment":"kaslr","kaslr_reps":65}]}`,
+			http.StatusBadRequest, "cell 2: server: kaslr_reps 65", ""},
+		{"oversized sweep body", post, "/v1/sweep", `{"cells":[{"experiment":"leak","secret":"` + strings.Repeat("s", maxSweepBody) + `"}]}`,
+			http.StatusRequestEntityTooLarge, "request body over", ""},
+		{"GET run", http.MethodGet, "/v1/run", "", http.StatusMethodNotAllowed, "POST only", post},
+		{"GET sweep", http.MethodGet, "/v1/sweep", "", http.StatusMethodNotAllowed, "POST only", post},
+		{"POST experiments", post, "/v1/experiments", "{}", http.StatusMethodNotAllowed, "GET only", http.MethodGet},
 	} {
-		resp, err := http.Post(gwts.URL+c.path, "application/json", strings.NewReader(c.body))
+		req, err := http.NewRequest(c.method, gwts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -913,6 +922,9 @@ func TestGatewayBadRequestNeverCostsABackendHop(t *testing.T) {
 		}
 		if resp.StatusCode != c.want || !strings.Contains(e.Error, c.msg) {
 			t.Errorf("%s: %d %q, want %d and an error naming %q", c.name, resp.StatusCode, e.Error, c.want, c.msg)
+		}
+		if got := resp.Header.Get("Allow"); got != c.allow {
+			t.Errorf("%s: Allow %q, want %q", c.name, got, c.allow)
 		}
 	}
 	if a.runs.Load() != 0 {

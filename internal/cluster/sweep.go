@@ -47,18 +47,8 @@ const sweepContentType = "application/x-json-stream"
 // failover schedule — the property the cluster identity test and the CI
 // smoke job pin.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteError(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !g.begin() {
-		server.WriteError(w, r, http.StatusServiceUnavailable, "gateway draining")
-		return
-	}
-	defer g.inflight.Done()
 	var sreq SweepRequest
-	if status, err := server.DecodeBody(w, r, maxSweepBody, &sreq); err != nil {
-		server.WriteError(w, r, status, err.Error())
+	if !server.DecodeBody(w, r, maxSweepBody, &sreq) {
 		return
 	}
 	if len(sreq.Cells) == 0 {
@@ -82,11 +72,8 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		cells[i] = norm
 	}
 	g.reg.Counter("gate.sweeps").Inc()
-	sp := g.reg.StartDetachedWallSpan("gate.sweep")
+	sp := g.reg.StartRequestSpan(r.Context(), "gate.sweep")
 	sp.AttrInt("cells", len(cells))
-	if id := obs.RequestIDFrom(r.Context()); id != "" {
-		sp.Attr(obs.RequestIDAttr, id)
-	}
 	defer sp.End(0)
 
 	w.Header().Set("Content-Type", sweepContentType)

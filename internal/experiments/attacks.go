@@ -160,8 +160,8 @@ type leakSpec struct {
 // leak plants s.secret where s.family reads it, builds the attack on k and
 // leaks the secret back. It is the one plant-and-leak path: RunAttack,
 // Table 2, Throughput, Mitigations and Noise all leak through it (Stealth,
-// which samples a detector between bytes, keeps its own loop). Each
-// family keeps its order of operations, which fixes the machine's RNG
+// which samples a detector after each byte, calls core.LeakBytes itself).
+// Each family keeps its order of operations, which fixes the machine's RNG
 // stream: md, md-fr, zbl and rsb plant before they construct; v1 constructs
 // first (its constructor writes the array length), then plants.
 func leak(k *kernel.Kernel, s leakSpec) (core.LeakResult, error) {

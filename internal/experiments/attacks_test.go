@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
 	"whisper/internal/sched"
+	"whisper/internal/smt"
 )
 
 // goldenSuiteSHA256 is the SHA-256 of TestAttackSuiteBlocks' full suite,
@@ -92,14 +94,15 @@ func TestAttackSuiteBlocks(t *testing.T) {
 	}
 }
 
-// TestEveryLeakEmitsTheLeakSpans pins that every family leaks through
-// core.LeakBytes: each leaves one core.leak span naming its attack, and one
-// core.leak.byte span per recovered byte carrying that byte's value.
+// TestEveryLeakEmitsTheLeakSpans pins that every family, and the SMT
+// channel, leaks through core.LeakBytes: each leaves one core.leak span
+// naming its attack, and one core.leak.byte span per recovered byte
+// carrying that byte's value.
 func TestEveryLeakEmitsTheLeakSpans(t *testing.T) {
 	secret := []byte("ab")
 	for _, c := range []struct{ family, attack string }{
 		{"cc", "TET-CC"}, {"md", "TET-Meltdown"}, {"zbl", "TET-Zombieload"}, {"rsb", "TET-RSB"},
-		{"v1", "TET-V1"}, {"fr", "Flush+Reload"}, {"md-fr", "Meltdown-F+R"},
+		{"v1", "TET-V1"}, {"fr", "Flush+Reload"}, {"md-fr", "Meltdown-F+R"}, {"smt", "SMT"},
 	} {
 		m := cpu.MustMachine(cpu.I7_7700(), 5)
 		r := m.EnableObs()
@@ -107,7 +110,15 @@ func TestEveryLeakEmitsTheLeakSpans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := leak(k, leakSpec{family: c.family, secret: secret, rsbAt: 0x300, batches: 1})
+		var res core.LeakResult
+		if c.family == "smt" {
+			var ch *smt.Channel
+			if ch, err = smt.NewChannel(k, smt.ModeSecSMT); err == nil {
+				res, err = ch.Transfer(secret)
+			}
+		} else {
+			res, err = leak(k, leakSpec{family: c.family, secret: secret, rsbAt: 0x300, batches: 1})
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", c.family, err)
 		}

@@ -142,18 +142,7 @@ func Stealth(ex Exec, seed int64) ([]StealthRow, error) {
 				return StealthRow{}, err
 			}
 			md.Batches = 3
-			det := defense.NewCacheAnomalyDetector(k.Machine().PMU)
-			for i := 0; i < len(mitSecret); i++ {
-				if _, err := md.LeakByte(k.SecretVA() + uint64(i)); err != nil {
-					return StealthRow{}, err
-				}
-				det.Sample()
-			}
-			return StealthRow{
-				Attack:    "TET-MD",
-				AlarmRate: det.AlarmRate(),
-				Detected:  det.AlarmRate() > 0.5,
-			}, nil
+			return underDetector(k, "TET-MD", md.LeakByte)
 		}},
 		// Meltdown-F+R under the detector.
 		{key: "meltdown-fr", model: kaby, cfg: cfg, seed: seed, run: func(k *kernel.Kernel) (StealthRow, error) {
@@ -162,20 +151,28 @@ func Stealth(ex Exec, seed int64) ([]StealthRow, error) {
 			if err != nil {
 				return StealthRow{}, err
 			}
-			det := defense.NewCacheAnomalyDetector(k.Machine().PMU)
-			for i := 0; i < len(mitSecret); i++ {
-				if _, err := fr.LeakByte(k.SecretVA() + uint64(i)); err != nil {
-					return StealthRow{}, err
-				}
-				det.Sample()
-			}
-			return StealthRow{
-				Attack:    "Meltdown-F+R",
-				AlarmRate: det.AlarmRate(),
-				Detected:  det.AlarmRate() > 0.5,
-			}, nil
+			return underDetector(k, "Meltdown-F+R", fr.LeakByte)
 		}},
 	})
+}
+
+// underDetector leaks the planted mitSecret through leakByte, a built
+// attack, under an HPC cache-attack detector armed now (it snapshots the
+// PMU when built, so after the attack's own set-up) and sampled after every
+// byte.
+func underDetector(k *kernel.Kernel, attack string, leakByte func(va uint64) (byte, error)) (StealthRow, error) {
+	det := defense.NewCacheAnomalyDetector(k.Machine().PMU)
+	_, err := core.LeakBytes(k.Machine(), attack, len(mitSecret), func(i int) (byte, error) {
+		b, err := leakByte(k.SecretVA() + uint64(i))
+		if err == nil {
+			det.Sample()
+		}
+		return b, err
+	})
+	if err != nil {
+		return StealthRow{}, err
+	}
+	return StealthRow{Attack: attack, AlarmRate: det.AlarmRate(), Detected: det.AlarmRate() > 0.5}, nil
 }
 
 // RenderStealth formats the detector comparison.

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"strconv"
@@ -241,7 +242,7 @@ func TestConcurrentScrapeRaceClean(t *testing.T) {
 			r.Counter("scrape.test.hits", obs.L("writer", strconv.Itoa(id))).Inc()
 			r.Gauge("scrape.test.depth").Set(float64(i))
 			r.Histogram("scrape.test.lat").Observe(uint64(i % 97))
-			sp := r.StartDetachedWallSpan("scrape.test.span")
+			sp := r.StartRequestSpan(context.Background(), "scrape.test.span")
 			sp.Attr("iter", strconv.Itoa(i))
 			r.SamplePMU(uint64(i), counts)
 			sp.End(uint64(i))

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,15 +15,12 @@ import (
 // and the cache/queue/pool metrics obsreport summarises.
 func reportRegistry(reqID string) *obs.Registry {
 	r := obs.NewRegistry()
-	sp := r.StartDetachedWallSpan("server.run.table2")
-	sp.Attr(obs.RequestIDAttr, reqID)
-	sp.End(0)
+	ctx := obs.WithRequestID(context.Background(), reqID)
+	r.StartRequestSpan(ctx, "server.run.table2").End(0)
 	for _, key := range []string{"cell/0", "cell/1"} {
-		job := r.StartDetachedWallSpan("table2." + key)
-		job.Attr(obs.RequestIDAttr, reqID)
-		job.End(0)
+		r.StartRequestSpan(ctx, "table2."+key).End(0)
 	}
-	orphan := r.StartDetachedWallSpan("table2.cell/other")
+	orphan := r.StartRequestSpan(context.Background(), "table2.cell/other")
 	orphan.End(0)
 
 	r.Counter("server.cache.hits", obs.L("tier", "memory")).Add(3)

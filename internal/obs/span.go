@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strconv"
 	"time"
 )
@@ -31,9 +32,9 @@ type Span struct {
 	// span several machines, e.g. experiments.RunAll stages); the exporter
 	// places them on the wall-clock track.
 	wallOnly bool
-	// detached marks spans that never joined the nesting stack: concurrent
-	// phases (scheduler jobs) whose lifetimes overlap arbitrarily, where
-	// stack-based nesting would force-close unrelated siblings.
+	// detached marks request spans, which never join the nesting stack:
+	// their lifetimes overlap arbitrarily, and stack-based nesting would
+	// force-close unrelated siblings.
 	detached bool
 	ended    bool
 
@@ -52,12 +53,13 @@ func (r *Registry) StartWallSpan(name string) *Span {
 	return r.startSpan(name, 0, true)
 }
 
-// StartDetachedWallSpan opens a wall-time-only span that does not join the
-// registry's nesting stack. Concurrent phases — one scheduler job per worker
-// goroutine — need this: stacked spans assume LIFO lifetimes, and ending one
-// overlapping sibling would force-close the others. Detached spans always
-// have no parent and close independently.
-func (r *Registry) StartDetachedWallSpan(name string) *Span {
+// StartRequestSpan opens a wall-time-only span for one part of a served
+// request (a daemon's handling of it, one scheduler job it sharded into),
+// stamped with the request ID ctx carries, if any. Request spans run
+// concurrently, so they do not join the registry's nesting stack: stacked
+// spans assume LIFO lifetimes, and ending one overlapping sibling would
+// force-close the others. They have no parent and close independently.
+func (r *Registry) StartRequestSpan(ctx context.Context, name string) *Span {
 	if r == nil {
 		return nil
 	}
@@ -71,6 +73,9 @@ func (r *Registry) StartDetachedWallSpan(name string) *Span {
 		StartWall: time.Now(),
 		wallOnly:  true,
 		detached:  true,
+	}
+	if id := RequestIDFrom(ctx); id != "" {
+		sp.Attrs = []Attr{{Key: RequestIDAttr, Value: id}}
 	}
 	r.nextSpanID++
 	r.spans = append(r.spans, sp)

@@ -163,10 +163,7 @@ func Map[T any](ctx context.Context, opts Options, jobs []Job[T]) ([]T, error) {
 // traceable from its access-log line down to each scheduler job it sharded
 // into; worker panics surface as error-level log events the same way.
 func runOne[T any](ctx context.Context, opts Options, lbl obs.Label, job Job[T], out *T, errOut *error, busy *atomic.Int64) {
-	sp := opts.Obs.StartDetachedWallSpan(spanName(opts.Name, job.Key))
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		sp.Attr(obs.RequestIDAttr, id)
-	}
+	sp := opts.Obs.StartRequestSpan(ctx, spanName(opts.Name, job.Key))
 	start := time.Now()
 	defer func() {
 		d := time.Since(start)

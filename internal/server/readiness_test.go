@@ -91,3 +91,15 @@ func TestReadyzReportsQueueAndDrain(t *testing.T) {
 	<-reqDone
 	<-shutDone
 }
+
+// TestReadyzClampsNegativeQueue pins that /readyz reports the queue bound
+// the server enforces: a negative MaxQueue admits no waiters, so it reads 0.
+func TestReadyzClampsNegativeQueue(t *testing.T) {
+	srv, _ := stubServer(t, Config{MaxInflight: 1, MaxQueue: -1},
+		func(ctx context.Context, req Request) ([]byte, error) { return []byte("{}"), nil })
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, doc := getReadiness(t, ts.URL); doc.MaxQueue != 0 {
+		t.Fatalf("max_queue = %d for MaxQueue -1, want the enforced 0", doc.MaxQueue)
+	}
+}

@@ -8,8 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strings"
-	"sync"
 	"time"
 
 	"whisper/internal/core"
@@ -17,7 +15,6 @@ import (
 	"whisper/internal/experiments"
 	"whisper/internal/obs"
 	"whisper/internal/obs/logging"
-	"whisper/internal/pmu"
 )
 
 // Config sizes one Server.
@@ -76,10 +73,8 @@ type Server struct {
 
 	baseCtx  context.Context
 	baseStop context.CancelFunc
-	inflight sync.WaitGroup
-
-	mu       sync.Mutex
-	draining bool
+	// execs gates executions: Shutdown closes it and waits for them.
+	execs DrainGate
 }
 
 // New builds a Server from cfg.
@@ -95,6 +90,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = runtime.NumCPU()
 	}
+	cfg.MaxQueue = max(cfg.MaxQueue, 0)
 	entries := cfg.CacheEntries
 	if entries <= 0 {
 		entries = DefaultCacheEntries
@@ -123,111 +119,22 @@ func New(cfg Config) (*Server, error) {
 // Obs returns the server's telemetry registry (what /metrics serves).
 func (s *Server) Obs() *obs.Registry { return s.reg }
 
-// Handler returns the daemon's HTTP API. Every route runs under the
-// request-ID middleware: the ID is accepted from (or minted into)
-// X-Whisper-Request-Id, echoed on every response — error paths included —
-// threaded through the context into execution spans, and closed out with a
-// structured access-log line.
+// Handler returns the daemon's HTTP API, every route under RequestScope.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/run", s.handleRun)
-	mux.HandleFunc("/v1/experiments", s.handleExperiments)
+	mux.HandleFunc("/v1/run", Only(http.MethodPost, s.handleRun))
+	mux.HandleFunc("/v1/experiments", Only(http.MethodGet, s.handleExperiments))
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/readyz", s.handleReady)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/traces", s.handleTraces)
-	return s.withRequestScope(mux)
-}
-
-// StatusRecorder captures the status and body size an inner handler wrote,
-// for the access-log lines of whisperd and the gateway.
-type StatusRecorder struct {
-	http.ResponseWriter
-	Status int
-	Bytes  int64
-}
-
-func (r *StatusRecorder) WriteHeader(status int) {
-	r.Status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (r *StatusRecorder) Write(b []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(b)
-	r.Bytes += int64(n)
-	return n, err
-}
-
-// Unwrap exposes the wrapped writer to http.ResponseController, so a handler
-// behind the recorder can still flush (the gateway's /v1/sweep stream does).
-func (r *StatusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
-// withRequestScope is the request-ID + access-log middleware.
-func (s *Server) withRequestScope(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(RequestIDHeader)
-		if !obs.ValidRequestID(id) {
-			id = obs.NewRequestID()
+	MountTelemetry(mux, s.reg, func() { publishPoolGauges(s.reg) })
+	return RequestScope(s.log, "request", func(rec *StatusRecorder) []slog.Attr {
+		inflight, waiting := s.queue.depth()
+		return []slog.Attr{
+			slog.String("cache", rec.Header().Get(CacheHeader)),
+			slog.Int("queue_inflight", inflight),
+			slog.Int("queue_waiting", waiting),
 		}
-		w.Header().Set(RequestIDHeader, id)
-		ctx := logging.WithRequestID(r.Context(), s.log, id)
-		rec := &StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
-		start := time.Now()
-		h.ServeHTTP(rec, r.WithContext(ctx))
-		if log := logging.From(ctx); log.Enabled(ctx, slog.LevelInfo) {
-			inflight, waiting := s.queue.depth()
-			log.LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.Status),
-				slog.Int64("bytes", rec.Bytes),
-				slog.Int64("dur_us", time.Since(start).Microseconds()),
-				slog.String("cache", rec.Header().Get(CacheHeader)),
-				slog.Int("queue_inflight", inflight),
-				slog.Int("queue_waiting", waiting),
-			)
-		}
-	})
-}
-
-// errorBody is the JSON error envelope every non-200 response carries; the
-// request ID rides inside so a failed call is correlatable from the body
-// alone (clients echo it into their errors).
-type errorBody struct {
-	Error     string `json:"error"`
-	Status    int    `json:"status"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-// WriteError replaces http.Error on every serving path of whisperd and the
-// gateway: a structured JSON body with an explicit Content-Type and the
-// request ID echoed both in the (middleware-set) header and the body.
-func WriteError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(errorBody{Error: msg, Status: status, RequestID: obs.RequestIDFrom(r.Context())})
-}
-
-// MaxRunBody caps a POST /v1/run body. A request with the longest secret
-// Normalize accepts, every byte escaped, and every attack family named is
-// under 2 KiB.
-const MaxRunBody = 64 << 10
-
-// DecodeBody decodes r's JSON body into v, refusing unknown fields and a
-// body that runs past limit bytes. On failure it returns the status to
-// answer with: 413 for an oversized body, 400 for any other bad one.
-func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("bad request: %w", err)
-	}
-	return http.StatusOK, nil
+	}, mux)
 }
 
 // Shutdown drains the server: new requests are refused (503), in-flight
@@ -236,30 +143,19 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int
 // The obs registry stays readable after drain so the caller can flush
 // metrics and traces.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
+	s.execs.Close()
 	s.reg.Gauge("server.draining").Set(1)
 	inflight, waiting := s.queue.depth()
 	s.log.LogAttrs(ctx, slog.LevelInfo, "drain started",
 		slog.Int("queue_inflight", inflight), slog.Int("queue_waiting", waiting))
-
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
+	err := s.execs.Wait(ctx)
+	if err != nil {
 		// Deadline passed: cancel the executions' base context and wait for
 		// them to unwind — Shutdown's contract is "no execution survives".
-		err = ctx.Err()
 		s.log.LogAttrs(ctx, slog.LevelWarn, "drain deadline expired, cancelling executions",
 			slog.String("error", err.Error()))
 		s.baseStop()
-		<-done
+		s.execs.Wait(context.Background())
 	}
 	s.baseStop()
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "drain complete")
@@ -267,11 +163,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) Draining() bool { return s.execs.Closed() }
 
 // errDraining refuses an execution that won a queue slot after Shutdown
 // began; the handler maps it to 503.
@@ -281,20 +173,6 @@ var errDraining = errors.New("server: draining")
 // admission queue: its client gave up before the execution started. It is
 // the leader's failure alone, so followers retry rather than share it.
 var errAbandoned = errors.New("server: caller gave up while queued")
-
-// beginExec atomically checks the drain flag and registers an execution, so
-// Shutdown's Wait provably covers every execution that was admitted: an
-// execution either registered before draining was set (and Wait blocks on
-// it) or is refused.
-func (s *Server) beginExec() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.inflight.Add(1)
-	return true
-}
 
 // cacheHeader values for X-Whisper-Cache.
 const (
@@ -307,22 +185,12 @@ const (
 // execute. The response body is the canonical envelope — byte-identical
 // across all three cache paths and across daemon instances.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if s.Draining() {
 		WriteError(w, r, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	var req Request
-	if status, err := DecodeBody(w, r, MaxRunBody, &req); err != nil {
-		WriteError(w, r, status, err.Error())
-		return
-	}
-	norm, err := req.Normalize()
-	if err != nil {
-		WriteError(w, r, http.StatusBadRequest, err.Error())
+	norm, ok := DecodeRun(w, r)
+	if !ok {
 		return
 	}
 	ctx := r.Context()
@@ -330,11 +198,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	hash := norm.Hash()
 	lbl := obs.L("experiment", norm.Experiment)
 	s.reg.Counter("server.requests", lbl).Inc()
-	sp := s.reg.StartDetachedWallSpan("server.run." + norm.Experiment)
+	sp := s.reg.StartRequestSpan(ctx, "server.run."+norm.Experiment)
 	sp.Attr("hash", hash)
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		sp.Attr(obs.RequestIDAttr, id)
-	}
 	start := time.Now()
 	body, status, err := s.result(ctx, norm, hash)
 	sp.Attr("cache", status)
@@ -390,10 +255,10 @@ func (s *Server) result(ctx context.Context, norm Request, hash string) ([]byte,
 			return nil, fmt.Errorf("%w: %w", errAbandoned, err)
 		}
 		defer s.queue.release()
-		if !s.beginExec() {
+		if !s.execs.Enter() {
 			return nil, errDraining
 		}
-		defer s.inflight.Done()
+		defer s.execs.Leave()
 		if s.baseCtx.Err() != nil {
 			return nil, s.baseCtx.Err()
 		}
@@ -452,10 +317,6 @@ type experimentsIndex struct {
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, r, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	def, err := Request{Experiment: "table2"}.Normalize()
 	if err != nil {
 		WriteError(w, r, http.StatusInternalServerError, err.Error())
@@ -524,85 +385,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(ready)
-}
-
-// Metrics exposition formats /metrics negotiates between.
-const (
-	metricsText = "text" // the aligned text table (default)
-	metricsJSON = "json"
-	metricsProm = "prom" // Prometheus text exposition 0.0.4
-)
-
-// negotiateMetricsFormat resolves ?format= (authoritative when present) then
-// the Accept header into one exposition format. Unknown ?format values are
-// an error so typos fail loudly instead of silently serving the default.
-func negotiateMetricsFormat(r *http.Request) (string, error) {
-	switch f := r.URL.Query().Get("format"); f {
-	case "":
-	case metricsText:
-		return metricsText, nil
-	case metricsJSON:
-		return metricsJSON, nil
-	case metricsProm, "prometheus", "openmetrics":
-		return metricsProm, nil
-	default:
-		return "", fmt.Errorf("unknown metrics format %q (have text, json, prom)", f)
-	}
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, "application/json"):
-		return metricsJSON, nil
-	case strings.Contains(accept, "application/openmetrics-text"),
-		strings.Contains(accept, "text/plain") && strings.Contains(accept, "version=0.0.4"):
-		// The Accept signature Prometheus scrapers send.
-		return metricsProm, nil
-	default:
-		return metricsText, nil
-	}
-}
-
-// handleMetrics serves the obs registry snapshot through one negotiated
-// writer: the aligned text table by default, JSON for JSON clients, and the
-// Prometheus text exposition for standard scrapers — always with an explicit
-// Content-Type (the CLIs' -metrics-out flag writes the same three renderings
-// by file suffix).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	publishPoolGauges(s.reg)
-	if err := ServeMetricsSnapshot(w, r, s.reg); err != nil {
-		WriteError(w, r, http.StatusBadRequest, err.Error())
-	}
-}
-
-// ServeMetricsSnapshot writes reg's snapshot in the format negotiated from
-// r (?format= then Accept) with an explicit Content-Type. A returned error
-// is a negotiation error the caller should map to 400; nothing has been
-// written in that case. Shared by whisperd's and whispergate's /metrics so
-// both ends of a cluster expose the same three renderings.
-func ServeMetricsSnapshot(w http.ResponseWriter, r *http.Request, reg *obs.Registry) error {
-	format, err := negotiateMetricsFormat(r)
-	if err != nil {
-		return err
-	}
-	snap := reg.Snapshot()
-	switch format {
-	case metricsJSON:
-		w.Header().Set("Content-Type", "application/json")
-		snap.WriteJSON(w)
-	case metricsProm:
-		w.Header().Set("Content-Type", obs.PromContentType)
-		snap.WritePrometheus(w)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		snap.WriteText(w)
-	}
-	return nil
-}
-
-// handleTraces serves the Perfetto/Chrome trace of everything the registry
-// has recorded — request spans included — ready for ui.perfetto.dev.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	s.reg.ExportTrace(w, []pmu.Event(nil))
 }
 
 // publishPoolGauges refreshes the machine-reuse gauges from the process-wide

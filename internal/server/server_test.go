@@ -485,7 +485,7 @@ func TestPanickingRunServed500(t *testing.T) {
 }
 
 // TestBadRequests checks the 4xx surface: every bad request is answered
-// before an execution starts.
+// before an execution starts, and a 405 names the allowed method in Allow.
 func TestBadRequests(t *testing.T) {
 	var runs atomic.Int32
 	srv, _ := stubServer(t, Config{}, func(ctx context.Context, req Request) ([]byte, error) {
@@ -496,16 +496,18 @@ func TestBadRequests(t *testing.T) {
 	defer ts.Close()
 
 	for _, c := range []struct {
-		name, method, body string
-		want               int
+		name, method, path, body string
+		want                     int
+		allow                    string // the Allow header a 405 must carry
 	}{
-		{"unknown experiment", http.MethodPost, `{"experiment":"unknown"}`, http.StatusBadRequest},
-		{"unknown field", http.MethodPost, `{"experiment":"table2","bogus":1}`, http.StatusBadRequest},
-		{"over-bound size", http.MethodPost, `{"experiment":"throughput","throughput_bytes":1073741824}`, http.StatusBadRequest},
-		{"oversized body", http.MethodPost, `{"experiment":"leak","secret":"` + strings.Repeat("s", MaxRunBody) + `"}`, http.StatusRequestEntityTooLarge},
-		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed},
+		{"unknown experiment", http.MethodPost, "/v1/run", `{"experiment":"unknown"}`, http.StatusBadRequest, ""},
+		{"unknown field", http.MethodPost, "/v1/run", `{"experiment":"table2","bogus":1}`, http.StatusBadRequest, ""},
+		{"over-bound size", http.MethodPost, "/v1/run", `{"experiment":"throughput","throughput_bytes":1073741824}`, http.StatusBadRequest, ""},
+		{"oversized body", http.MethodPost, "/v1/run", `{"experiment":"leak","secret":"` + strings.Repeat("s", MaxRunBody) + `"}`, http.StatusRequestEntityTooLarge, ""},
+		{"GET run", http.MethodGet, "/v1/run", "", http.StatusMethodNotAllowed, http.MethodPost},
+		{"POST experiments", http.MethodPost, "/v1/experiments", "{}", http.StatusMethodNotAllowed, http.MethodGet},
 	} {
-		req, err := http.NewRequest(c.method, ts.URL+"/v1/run", strings.NewReader(c.body))
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,6 +518,9 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: got %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+		if got := resp.Header.Get("Allow"); got != c.allow {
+			t.Errorf("%s: Allow %q, want %q", c.name, got, c.allow)
 		}
 	}
 	if n := runs.Load(); n != 0 {

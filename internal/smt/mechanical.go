@@ -110,7 +110,10 @@ func (c *MechanicalChannel) Calibrate(reps int) error {
 	return nil
 }
 
-// Transfer sends data Trojan→spy over the mechanical substrate.
+// Transfer sends data Trojan→spy over the mechanical substrate. Unlike
+// Channel.Transfer it keeps its own byte loop rather than core.LeakBytes:
+// its cost is counted on the sibling thread T1's clock, not on the
+// attacker machine's pipeline that LeakBytes reads.
 func (c *MechanicalChannel) Transfer(data []byte) (core.LeakResult, error) {
 	if !c.calibrated {
 		if err := c.Calibrate(4); err != nil {

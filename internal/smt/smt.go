@@ -144,22 +144,17 @@ func (c *Channel) Transfer(data []byte) (core.LeakResult, error) {
 			return core.LeakResult{}, err
 		}
 	}
-	m := c.k.Machine()
-	start := m.Pipe.Cycle()
-	out := make([]byte, len(data))
-	for i, by := range data {
+	return core.LeakBytes(c.k.Machine(), "SMT", len(data), func(i int) (byte, error) {
 		var got byte
 		for bit := 7; bit >= 0; bit-- {
-			iters, err := c.sendWindow(by>>uint(bit)&1 == 1)
+			iters, err := c.sendWindow(data[i]>>uint(bit)&1 == 1)
 			if err != nil {
-				return core.LeakResult{}, fmt.Errorf("smt: byte %d: %w", i, err)
+				return 0, err
 			}
 			if iters < c.threshold {
 				got |= 1 << uint(bit)
 			}
 		}
-		out[i] = got
-	}
-	cycles := m.Pipe.Cycle() - start
-	return core.LeakResult{Data: out, Cycles: cycles, Bps: m.Bps(len(data), cycles)}, nil
+		return got, nil
+	})
 }
