@@ -82,6 +82,16 @@ func (c *FlushReload) send(bit bool) error {
 	return err
 }
 
+// sendBit transmits one bit and returns the receiver's decision: a reload
+// faster than the threshold hit the line the sender touched.
+func (c *FlushReload) sendBit(bit bool) (bool, error) {
+	if err := c.send(bit); err != nil {
+		return false, err
+	}
+	t, err := c.reload()
+	return t < c.threshold, err
+}
+
 func (c *FlushReload) calibrate() error {
 	var hit, miss []uint64
 	for i := 0; i < 8; i++ {
@@ -110,20 +120,7 @@ func (c *FlushReload) calibrate() error {
 // Transfer sends data through the cache channel.
 func (c *FlushReload) Transfer(data []byte) (core.LeakResult, error) {
 	return core.LeakBytes(c.m, "Flush+Reload", len(data), func(i int) (byte, error) {
-		var got byte
-		for bit := 7; bit >= 0; bit-- {
-			if err := c.send(data[i]>>uint(bit)&1 == 1); err != nil {
-				return 0, err
-			}
-			t, err := c.reload()
-			if err != nil {
-				return 0, err
-			}
-			if t < c.threshold {
-				got |= 1 << uint(bit)
-			}
-		}
-		return got, nil
+		return core.SendByte(data[i], c.sendBit)
 	})
 }
 
@@ -246,52 +243,12 @@ func (a *PrefetchKASLR) probe(target uint64) (uint64, error) {
 	return core.ToTE(a.m.Pipe, a.prog)
 }
 
-// Locate scans all slots and returns the recovered base.
+// Locate scans all slots through core.ScanSlots, timing each with the
+// standard evict–prime–measure procedure over the prefetch probe, and
+// returns the recovered base. It has no FLARE bypass: that is the point of
+// this baseline.
 func (a *PrefetchKASLR) Locate() (core.KASLRResult, error) {
-	start := a.m.Pipe.Cycle()
-	times := make([]uint64, kernel.NumSlots)
-	for s := 0; s < kernel.NumSlots; s++ {
-		target := a.k.ProbeTarget(s)
-		samples := make([]uint64, 0, a.Reps)
-		for rep := 0; rep < a.Reps; rep++ {
-			a.k.EvictTLB()
-			if _, err := a.probe(target); err != nil { // prime: fills TLB iff mapped
-				return core.KASLRResult{}, err
-			}
-			t, err := a.probe(target)
-			if err != nil {
-				return core.KASLRResult{}, err
-			}
-			samples = append(samples, t)
-		}
-		times[s] = stats.MedianU64(samples)
-	}
-	slot := firstFast(times)
-	cycles := a.m.Pipe.Cycle() - start
-	res := core.KASLRResult{Slot: slot, Cycles: cycles, Seconds: a.m.Seconds(cycles)}
-	if slot >= 0 {
-		res.Base = kernel.SlotVA(slot)
-	}
-	return res, nil
-}
-
-// noSignalGap mirrors core's detection floor: a fastest-vs-majority gap
-// tighter than this is noise, not a mapping signal.
-const noSignalGap = 15
-
-// firstFast mirrors core's threshold decode, returning -1 when the scan
-// carries no signal (the FLARE-defended case).
-func firstFast(times []uint64) int {
-	min := times[stats.Argmin(times)]
-	med := stats.MedianU64(times)
-	if med-min < noSignalGap {
-		return -1
-	}
-	threshold := (min + med) / 2
-	for s, t := range times {
-		if t <= threshold {
-			return s
-		}
-	}
-	return stats.Argmin(times)
+	return core.ScanSlots(a.k, "prefetch-KASLR", func(s int) (uint64, error) {
+		return core.SlotTime(a.k, a.Reps, a.k.ProbeTarget(s), a.probe)
+	})
 }

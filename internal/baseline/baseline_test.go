@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
 	"whisper/internal/stats"
@@ -104,6 +105,37 @@ func TestPrefetchKASLRDefeatedByFLARE(t *testing.T) {
 	}
 	if res.Slot == k.BaseSlot() {
 		t.Fatalf("prefetch-KASLR should be defeated by FLARE but found slot %d", res.Slot)
+	}
+}
+
+// TestKASLRRejectsBadReps pins that both KASLR scans, TET-KASLR (plain and
+// through the FLARE bypass) and the prefetch baseline, reject a
+// non-positive rounds-per-slot count before they probe, instead of
+// reporting "not found" (0) or panicking (< 0).
+func TestKASLRRejectsBadReps(t *testing.T) {
+	for _, cfg := range []kernel.Config{{KASLR: true}, {KASLR: true, KPTI: true, FLARE: true}} {
+		k := boot(t, cpu.I9_10980XE(), cfg, 306)
+		tet, err := core.NewTETKASLR(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := NewPrefetchKASLR(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := k.Machine().Pipe.Cycle()
+		for _, reps := range []int{0, -2} {
+			tet.Reps, pf.Reps = reps, reps
+			if res, err := tet.Locate(); err == nil {
+				t.Errorf("%+v: TET-KASLR accepted %d reps (slot %d)", cfg, reps, res.Slot)
+			}
+			if res, err := pf.Locate(); err == nil {
+				t.Errorf("%+v: prefetch-KASLR accepted %d reps (slot %d)", cfg, reps, res.Slot)
+			}
+		}
+		if end := k.Machine().Pipe.Cycle(); end != start {
+			t.Errorf("%+v: rejected scans ran %d simulated cycles", cfg, end-start)
+		}
 	}
 }
 

@@ -151,17 +151,7 @@ func (c *CovertChannel) Transfer(data []byte) (LeakResult, error) {
 		}
 	}
 	return LeakBytes(c.m, "TET-CC", len(data), func(i int) (byte, error) {
-		var got byte
-		for bit := 7; bit >= 0; bit-- {
-			rx, err := c.sendBit(data[i]>>uint(bit)&1 == 1)
-			if err != nil {
-				return 0, err
-			}
-			if rx {
-				got |= 1 << uint(bit)
-			}
-		}
-		return got, nil
+		return SendByte(data[i], c.sendBit)
 	})
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"whisper/internal/cpu"
@@ -321,6 +322,56 @@ func TestProberRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewTETCovertChannel(nil); err == nil {
 		t.Fatal("nil kernel accepted")
+	}
+}
+
+// TestSendByteSendsHighBitFirst pins the covert channels' bit codec: bits
+// go out most significant first, the byte is made of the receiver's
+// decisions (not of the bits sent), and an error at bit k ends the byte
+// with no later bit sent.
+func TestSendByteSendsHighBitFirst(t *testing.T) {
+	for _, c := range []struct {
+		b    byte
+		sent string
+	}{
+		{0x00, "00000000"}, {0xff, "11111111"}, {0x80, "10000000"},
+		{0x01, "00000001"}, {0xa5, "10100101"}, {'W', "01010111"},
+	} {
+		var sent []byte
+		got, err := SendByte(c.b, func(bit bool) (bool, error) {
+			ch := byte('0')
+			if bit {
+				ch = '1'
+			}
+			sent = append(sent, ch)
+			return !bit, nil // an inverting receiver
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(sent) != c.sent {
+			t.Errorf("SendByte(%#x) sent %s, want %s", c.b, sent, c.sent)
+		}
+		if got != ^c.b {
+			t.Errorf("SendByte(%#x) = %#x from an inverting receiver, want %#x", c.b, got, ^c.b)
+		}
+	}
+	boom := errors.New("receiver lost")
+	for k := 0; k < 8; k++ {
+		sent := 0
+		_, err := SendByte(0xa5, func(bit bool) (bool, error) {
+			sent++
+			if sent == k+1 {
+				return false, boom
+			}
+			return bit, nil
+		})
+		if !errors.Is(err, boom) {
+			t.Errorf("error at bit %d: SendByte returned %v, want %v", k, err, boom)
+		}
+		if sent != k+1 {
+			t.Errorf("error at bit %d: %d bits sent, want %d", k, sent, k+1)
+		}
 	}
 }
 

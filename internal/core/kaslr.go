@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"whisper/internal/isa"
@@ -89,26 +90,6 @@ func (a *KASLR) probe(target uint64) (uint64, error) {
 	return ToTE(p, a.prog)
 }
 
-// slotTime returns the median probe time of candidate slot s under the
-// standard procedure: evict the TLB, let the first probe (re)establish
-// whatever the hardware caches for this address, then measure.
-func (a *KASLR) slotTime(s int) (uint64, error) {
-	target := a.k.ProbeTarget(s)
-	times := make([]uint64, 0, a.Reps)
-	for range a.Reps {
-		a.k.EvictTLB()
-		if _, err := a.probe(target); err != nil { // warm: fills TLB iff mapped
-			return 0, err
-		}
-		t, err := a.probe(target)
-		if err != nil {
-			return 0, err
-		}
-		times = append(times, t)
-	}
-	return stats.MedianU64(times), nil
-}
-
 // slotTimeFLARE measures slot s under FLARE: every probe target is mapped,
 // so mapping detection per se is defeated. The bypass primitive: prime the
 // TLB with a probe, force a syscall round-trip (KPTI CR3 writes flush
@@ -118,8 +99,7 @@ func (a *KASLR) slotTime(s int) (uint64, error) {
 // 2 MiB entries.
 func (a *KASLR) slotTimeFLARE(s int) (uint64, error) {
 	target := a.k.ProbeTarget(s)
-	times := make([]uint64, 0, a.Reps)
-	for range a.Reps {
+	return medianOf(a.Reps, func() (uint64, error) {
 		if _, err := a.probe(target); err != nil { // prime the TLB entry
 			return 0, err
 		}
@@ -129,39 +109,74 @@ func (a *KASLR) slotTimeFLARE(s int) (uint64, error) {
 			a.k.EvictDTLB4K()
 		}
 		a.k.EvictProbePTEs(s) // force any re-walk to DRAM
-		t, err := a.probe(target)
+		return a.probe(target)
+	})
+}
+
+// Locate scans all 512 candidate slots with the Listing 2 probe, through
+// the FLARE bypass when the kernel runs FLARE, and returns the recovered
+// kernel base (ScanSlots).
+func (a *KASLR) Locate() (KASLRResult, error) {
+	slotTime := func(s int) (uint64, error) {
+		return SlotTime(a.k, a.Reps, a.k.ProbeTarget(s), a.probe)
+	}
+	if a.k.Config().FLARE {
+		slotTime = a.slotTimeFLARE
+	}
+	return ScanSlots(a.k, "TET-KASLR", slotTime)
+}
+
+// SlotTime returns the median time probe takes on target under the standard
+// procedure, reps rounds of: evict the TLB, let a first probe (re)establish
+// whatever the hardware caches for this address, then measure a second.
+func SlotTime(k *kernel.Kernel, reps int, target uint64, probe func(target uint64) (uint64, error)) (uint64, error) {
+	return medianOf(reps, func() (uint64, error) {
+		k.EvictTLB()
+		if _, err := probe(target); err != nil { // warm: fills the TLB iff mapped
+			return 0, err
+		}
+		return probe(target)
+	})
+}
+
+// medianOf returns the median of reps samples. It rejects reps ≤ 0 before
+// taking any, so a misconfigured scan fails instead of reading as "no
+// signal".
+func medianOf(reps int, sample func() (uint64, error)) (uint64, error) {
+	if reps <= 0 {
+		return 0, errors.New("core: KASLR reps must be positive")
+	}
+	times := make([]uint64, reps)
+	for i := range times {
+		t, err := sample()
 		if err != nil {
 			return 0, err
 		}
-		times = append(times, t)
+		times[i] = t
 	}
 	return stats.MedianU64(times), nil
 }
 
-// Locate scans all 512 candidate slots and returns the recovered kernel
-// base: the first slot whose probe time falls on the mapped side of the
-// threshold between the fastest observation and the unmapped majority.
-func (a *KASLR) Locate() (KASLRResult, error) {
-	m := a.k.Machine()
-	cfg := a.k.Config()
+// ScanSlots is the slot scan of every KASLR attack, TET-KASLR's and the
+// prefetch baseline's: it times each of the 512 candidate slots with
+// slotTime and returns the first slot on the mapped side of the threshold
+// between the fastest observation and the unmapped majority (firstMapped).
+// It opens one core.kaslr.locate span, named by attack, and one
+// core.kaslr.slot span per slot carrying its median ToTE.
+func ScanSlots(k *kernel.Kernel, attack string, slotTime func(slot int) (uint64, error)) (KASLRResult, error) {
+	m := k.Machine()
+	cfg := k.Config()
 	sp := m.Obs.StartSpan("core.kaslr.locate", m.Pipe.Cycle())
 	sp.Attr("cpu", m.Model.Name)
-	sp.Attr("attack", "TET-KASLR")
+	sp.Attr("attack", attack)
 	sp.AttrBool("kpti", cfg.KPTI)
 	sp.AttrBool("flare", cfg.FLARE)
 	start := m.Pipe.Cycle()
 	times := make([]uint64, kernel.NumSlots)
-	flare := cfg.FLARE
-	for s := 0; s < kernel.NumSlots; s++ {
+	for s := range times {
 		ssp := m.Obs.StartSpan("core.kaslr.slot", m.Pipe.Cycle())
 		ssp.AttrInt("slot", s)
-		var t uint64
-		var err error
-		if flare {
-			t, err = a.slotTimeFLARE(s)
-		} else {
-			t, err = a.slotTime(s)
-		}
+		t, err := slotTime(s)
 		if err != nil {
 			sp.Attr("error", err.Error())
 			sp.End(m.Pipe.Cycle())
@@ -183,7 +198,7 @@ func (a *KASLR) Locate() (KASLRResult, error) {
 	}
 	sp.AttrInt("slot", slot)
 	sp.AttrHex("base", res.Base)
-	sp.AttrBool("hit", slot == a.k.BaseSlot())
+	sp.AttrBool("hit", slot == k.BaseSlot())
 	sp.End(m.Pipe.Cycle())
 	m.Obs.Histogram("core.kaslr.scanCycles").Observe(cycles)
 	return res, nil

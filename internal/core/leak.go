@@ -11,8 +11,9 @@ import (
 )
 
 // The leak path every attack shares: ToTE times one gadget run by its RDTSC
-// pair, decoder turns a sweep of test values into a byte (§4.3.1), and
-// LeakBytes leaks n bytes and accounts their cost.
+// pair, decoder turns a sweep of test values into a byte (§4.3.1), SendByte
+// sends a covert-channel byte one bit at a time, and LeakBytes leaks n bytes
+// and accounts their cost.
 
 // LeakResult reports a finished leak.
 type LeakResult struct {
@@ -120,6 +121,24 @@ func (d decoder) extreme(totes []uint64) int {
 		return stats.Argmax(totes)
 	}
 	return stats.Argmin(totes)
+}
+
+// SendByte is the bit codec of every covert channel (§4.1, §4.4): it sends b
+// one bit at a time, most significant first, and returns the byte the
+// receiver decoded. sendBit sends one bit and returns the receiver's
+// decision for it; its first error ends the byte.
+func SendByte(b byte, sendBit func(bit bool) (bool, error)) (byte, error) {
+	var got byte
+	for bit := 7; bit >= 0; bit-- {
+		rx, err := sendBit(b>>uint(bit)&1 == 1)
+		if err != nil {
+			return 0, err
+		}
+		if rx {
+			got |= 1 << uint(bit)
+		}
+	}
+	return got, nil
 }
 
 // LeakBytes is the byte loop of every leak: it recovers n bytes on m, byte i

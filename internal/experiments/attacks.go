@@ -98,11 +98,7 @@ func RunAttack(k *kernel.Kernel, family string, secret []byte) (string, error) {
 				res.Bps, stats.ByteErrorRate(res.Data, secret)*100, res.Cycles,
 				m.Seconds(res.Cycles), m.Model.ClockHz/1e9), nil
 	case "kaslr":
-		a, err := core.NewTETKASLR(k)
-		if err != nil {
-			return "", err
-		}
-		res, err := a.Locate()
+		res, err := locate(k, 0, false)
 		if err != nil {
 			return "", err
 		}
@@ -188,7 +184,7 @@ func leak(k *kernel.Kernel, s leakSpec) (core.LeakResult, error) {
 		if err != nil {
 			return core.LeakResult{}, err
 		}
-		setBatches(&a.Batches, s.batches)
+		override(&a.Batches, s.batches)
 		a.MedianDecode = s.median
 		return a.Leak(k.SecretVA(), n)
 	case "md-fr":
@@ -204,7 +200,7 @@ func leak(k *kernel.Kernel, s leakSpec) (core.LeakResult, error) {
 		if err != nil {
 			return core.LeakResult{}, err
 		}
-		setBatches(&a.Batches, s.batches)
+		override(&a.Batches, s.batches)
 		return a.Leak(n)
 	case "rsb":
 		va := kernel.UserDataBase + s.rsbAt
@@ -215,7 +211,7 @@ func leak(k *kernel.Kernel, s leakSpec) (core.LeakResult, error) {
 		if err != nil {
 			return core.LeakResult{}, err
 		}
-		setBatches(&a.Batches, s.batches)
+		override(&a.Batches, s.batches)
 		return a.Leak(va, n)
 	case "v1":
 		a, err := core.NewTETSpectreV1(k)
@@ -225,10 +221,31 @@ func leak(k *kernel.Kernel, s leakSpec) (core.LeakResult, error) {
 		if err := plantUser(k, a.ArrayVA()+a.ArrayLen(), plant); err != nil {
 			return core.LeakResult{}, err
 		}
-		setBatches(&a.Batches, s.batches)
+		override(&a.Batches, s.batches)
 		return a.Leak(a.ArrayLen(), n)
 	}
 	return core.LeakResult{}, fmt.Errorf("experiments: no leak family %q", s.family)
+}
+
+// locate finds the kernel base on k with TET-KASLR, or with the
+// prefetch-timing baseline when prefetch is set, at reps rounds per slot
+// when reps > 0 (the scan's own default otherwise). It is the one KASLR
+// path: RunAttack, Table 2 and every §4.5 suite row locate through it.
+func locate(k *kernel.Kernel, reps int, prefetch bool) (core.KASLRResult, error) {
+	if prefetch {
+		a, err := baseline.NewPrefetchKASLR(k)
+		if err != nil {
+			return core.KASLRResult{}, err
+		}
+		override(&a.Reps, reps)
+		return a.Locate()
+	}
+	a, err := core.NewTETKASLR(k)
+	if err != nil {
+		return core.KASLRResult{}, err
+	}
+	override(&a.Reps, reps)
+	return a.Locate()
 }
 
 // plantUser stores secret at the attacker-process address va.
@@ -241,10 +258,11 @@ func plantUser(k *kernel.Kernel, va uint64, secret []byte) error {
 	return nil
 }
 
-// setBatches overrides a family's default vote batches when n > 0.
-func setBatches(batches *int, n int) {
+// override replaces an attack's default vote batches or scan rounds with n
+// when n > 0.
+func override(setting *int, n int) {
 	if n > 0 {
-		*batches = n
+		*setting = n
 	}
 }
 

@@ -145,3 +145,49 @@ func TestEveryLeakEmitsTheLeakSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryKASLRScanEmitsTheScanSpans pins that every KASLR scan, the
+// prefetch baseline's included, runs through core.ScanSlots: one
+// core.kaslr.locate span named by the scan and one core.kaslr.slot span per
+// candidate slot.
+func TestEveryKASLRScanEmitsTheScanSpans(t *testing.T) {
+	for _, c := range []struct {
+		cfg      kernel.Config
+		prefetch bool
+		attack   string
+	}{
+		{kernel.Config{KASLR: true}, false, "TET-KASLR"},
+		{kernel.Config{KASLR: true, KPTI: true, FLARE: true}, false, "TET-KASLR"},
+		{kernel.Config{KASLR: true, KPTI: true}, true, "prefetch-KASLR"},
+	} {
+		m := cpu.MustMachine(cpu.I9_10980XE(), 5)
+		r := m.EnableObs()
+		k, err := kernel.Boot(m, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := locate(k, 1, c.prefetch); err != nil {
+			t.Fatalf("%s %+v: %v", c.attack, c.cfg, err)
+		}
+		var attacks []string
+		slots := 0
+		for _, sp := range r.Spans() {
+			switch sp.Name {
+			case "core.kaslr.locate":
+				for _, a := range sp.Attrs {
+					if a.Key == "attack" {
+						attacks = append(attacks, a.Value)
+					}
+				}
+			case "core.kaslr.slot":
+				slots++
+			}
+		}
+		if len(attacks) != 1 || attacks[0] != c.attack {
+			t.Errorf("%s %+v: core.kaslr.locate attack attributes %q, want one %q", c.attack, c.cfg, attacks, c.attack)
+		}
+		if slots != kernel.NumSlots {
+			t.Errorf("%s %+v: %d core.kaslr.slot spans, want %d", c.attack, c.cfg, slots, kernel.NumSlots)
+		}
+	}
+}

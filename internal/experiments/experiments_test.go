@@ -103,22 +103,30 @@ func TestFig1bDecodesSecret(t *testing.T) {
 }
 
 // TestSceneKASLRReportsProbeErrors pins that a probe overrunning its cycle
-// budget fails Table 3's KASLR scene instead of yielding a scene built from
-// partial PMU runs.
+// budget fails each Table 3 scene (the KASLR scene, and the CC and MD
+// scenes, whose first probe is a warm-up) instead of yielding a scene built
+// from partial PMU runs.
 func TestSceneKASLRReportsProbeErrors(t *testing.T) {
-	m, err := cpu.NewMachine(cpu.I9_10980XE(), DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := kernel.Boot(m, kernel.Config{KASLR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Longer than a TLB eviction plus one probe's cycle budget, so the first
-	// probe overruns it.
-	m.Pipe.InjectStall(2_000_000)
-	if _, err := sceneKASLR(k); err == nil {
-		t.Fatal("sceneKASLR built a scene although its first probe overran its budget")
+	for _, c := range []struct {
+		name string
+		run  func(*kernel.Kernel) (Table3Scene, error)
+	}{
+		{"sceneKASLR", sceneKASLR}, {"sceneCC", sceneCC(nil)}, {"sceneMD", sceneMD},
+	} {
+		m, err := cpu.NewMachine(cpu.I9_10980XE(), DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := kernel.Boot(m, kernel.Config{KASLR: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Longer than a TLB eviction plus one probe's cycle budget, so the
+		// first probe overruns it.
+		m.Pipe.InjectStall(2_000_000)
+		if _, err := c.run(k); err == nil {
+			t.Errorf("%s built a scene although its first probe overran its budget", c.name)
+		}
 	}
 }
 

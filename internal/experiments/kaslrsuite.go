@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"whisper/internal/baseline"
-	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
 )
@@ -26,15 +24,11 @@ type KASLRRow struct {
 // machine from the same seed (as the original serial sweep did), so the rows
 // are independent cells collected in matrix order.
 func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
-	// tet locates the kernel base with TET-KASLR.
-	tet := func(name string, paperSec float64, note string) func(*kernel.Kernel) (KASLRRow, error) {
+	// row locates the kernel base with TET-KASLR, or with the
+	// prefetch-timing baseline (the family FLARE was designed against).
+	row := func(prefetch bool, name string, paperSec float64, note string) func(*kernel.Kernel) (KASLRRow, error) {
 		return func(k *kernel.Kernel) (KASLRRow, error) {
-			a, err := core.NewTETKASLR(k)
-			if err != nil {
-				return KASLRRow{}, err
-			}
-			a.Reps = reps
-			res, err := a.Locate()
+			res, err := locate(k, reps, prefetch)
 			if err != nil {
 				return KASLRRow{}, err
 			}
@@ -52,12 +46,7 @@ func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
 	// §6.2 software mitigation: FGKASLR. The base is still found; the
 	// code-reuse step (deriving a function from the base) breaks.
 	fgkaslr := func(k *kernel.Kernel) (KASLRRow, error) {
-		a, err := core.NewTETKASLR(k)
-		if err != nil {
-			return KASLRRow{}, err
-		}
-		a.Reps = reps
-		res, err := a.Locate()
+		res, err := locate(k, reps, false)
 		if err != nil {
 			return KASLRRow{}, err
 		}
@@ -79,28 +68,6 @@ func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
 		}, nil
 	}
 
-	// Prefetch-timing baseline (the family FLARE was designed against).
-	prefetch := func(name, note string) func(*kernel.Kernel) (KASLRRow, error) {
-		return func(k *kernel.Kernel) (KASLRRow, error) {
-			a, err := baseline.NewPrefetchKASLR(k)
-			if err != nil {
-				return KASLRRow{}, err
-			}
-			a.Reps = reps
-			res, err := a.Locate()
-			if err != nil {
-				return KASLRRow{}, err
-			}
-			return KASLRRow{
-				Name:    name,
-				CPU:     k.Machine().Model.Name,
-				Found:   res.Slot == k.BaseSlot(),
-				Seconds: res.Seconds,
-				Note:    note,
-			}, nil
-		}
-	}
-
 	// §6.3 hardware mitigation ablation: an Intel part whose TLB only fills
 	// when the permission check passes (secure TLB).
 	secure := cpu.I9_10980XE()
@@ -110,28 +77,28 @@ func KASLRSuite(ex Exec, reps int, seed int64) ([]KASLRRow, error) {
 	i9 := cpu.I9_10980XE()
 	return runCells(ex, "kaslr", seed, []cell[KASLRRow]{
 		{key: "tet/i9-10980xe", model: i9, cfg: kernel.Config{KASLR: true}, seed: seed,
-			run: tet("TET-KASLR", 0.8829, "paper: 0.8829 s (n=3, sigma=0.0036)")},
+			run: row(false, "TET-KASLR", 0.8829, "paper: 0.8829 s (n=3, sigma=0.0036)")},
 		{key: "tet/i9-10980xe/kpti", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true}, seed: seed,
-			run: tet("TET-KASLR + KPTI", 1.0, "paper: trampoline found within 1 s")},
+			run: row(false, "TET-KASLR + KPTI", 1.0, "paper: trampoline found within 1 s")},
 		{key: "tet/i9-10980xe/kpti+flare", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true, FLARE: true}, seed: seed,
-			run: tet("TET-KASLR + KPTI + FLARE", 0, "bypasses the state-of-the-art defense")},
+			run: row(false, "TET-KASLR + KPTI + FLARE", 0, "bypasses the state-of-the-art defense")},
 		{key: "tet/i9-10980xe/flare", model: i9, cfg: kernel.Config{KASLR: true, FLARE: true}, seed: seed,
-			run: tet("TET-KASLR + FLARE (no KPTI)", 0, "4K-partition eviction spares 2M image entries")},
+			run: row(false, "TET-KASLR + FLARE (no KPTI)", 0, "4K-partition eviction spares 2M image entries")},
 		{key: "tet/i9-10980xe/docker", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true, Docker: true}, seed: seed,
-			run: tet("TET-KASLR in Docker", 0, "container namespaces do not help")},
+			run: row(false, "TET-KASLR in Docker", 0, "container namespaces do not help")},
 		{key: "tet/i7-6700", model: cpu.I7_6700(), cfg: kernel.Config{KASLR: true}, seed: seed,
-			run: tet("TET-KASLR", 0, "")},
+			run: row(false, "TET-KASLR", 0, "")},
 		{key: "tet/i7-7700", model: cpu.I7_7700(), cfg: kernel.Config{KASLR: true}, seed: seed,
-			run: tet("TET-KASLR", 0, "")},
+			run: row(false, "TET-KASLR", 0, "")},
 		{key: "tet/ryzen-5600g", model: cpu.Ryzen5600G(), cfg: kernel.Config{KASLR: true}, seed: seed,
-			run: tet("TET-KASLR", 0, "fails: Zen 3 does not fill the TLB on a faulting access")},
+			run: row(false, "TET-KASLR", 0, "fails: Zen 3 does not fill the TLB on a faulting access")},
 		{key: "tet/secure-tlb", model: secure, cfg: kernel.Config{KASLR: true}, seed: seed,
-			run: tet("TET-KASLR vs secure TLB", 0, "fails: fill-on-fault removed (proposed hardware fix)")},
+			run: row(false, "TET-KASLR vs secure TLB", 0, "fails: fill-on-fault removed (proposed hardware fix)")},
 		{key: "tet/fgkaslr", model: i9, cfg: kernel.Config{KASLR: true, FGKASLR: true}, seed: seed, run: fgkaslr},
 		{key: "prefetch/kpti", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true}, seed: seed,
-			run: prefetch("prefetch-KASLR (baseline)", "")},
+			run: row(true, "prefetch-KASLR (baseline)", 0, "")},
 		{key: "prefetch/kpti+flare", model: i9, cfg: kernel.Config{KASLR: true, KPTI: true, FLARE: true}, seed: seed,
-			run: prefetch("prefetch-KASLR + FLARE (baseline)", "FLARE defeats prefetch probes; TET survives (§6.1)")},
+			run: row(true, "prefetch-KASLR + FLARE (baseline)", 0, "FLARE defeats prefetch probes; TET survives (§6.1)")},
 	})
 }
 

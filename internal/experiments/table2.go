@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"whisper/internal/core"
 	"whisper/internal/cpu"
 	"whisper/internal/kernel"
 	"whisper/internal/stats"
@@ -122,12 +121,7 @@ func table2Leak(family string) func(*kernel.Kernel, Table2Params, *Table2Row) er
 }
 
 func table2KASLR(k *kernel.Kernel, params Table2Params, row *Table2Row) error {
-	ka, err := core.NewTETKASLR(k)
-	if err != nil {
-		return err
-	}
-	ka.Reps = params.KASLRReps
-	res, err := ka.Locate()
+	res, err := locate(k, params.KASLRReps, false)
 	if err != nil {
 		return err
 	}

@@ -111,6 +111,35 @@ func Table3(ex Exec, seed int64) ([]Table3Scene, error) {
 	})
 }
 
+// scene runs probe table3Runs times with side A (false), then table3Runs
+// times with side B (true), snapshotting the PMU around each run, and
+// builds the scene from the two collections. Collection stops at the first
+// probe error, which scene returns instead of a scene built from partial
+// runs.
+func scene(m *cpu.Machine, name, labelA, labelB string, keys []KeyEvent, probe func(side bool) error) (Table3Scene, error) {
+	var probeErr error
+	collect := func(side bool) []pmu.Run {
+		return pmu.Collect(m.PMU, table3Runs, func() {
+			if probeErr == nil {
+				probeErr = probe(side)
+			}
+		})
+	}
+	runA := collect(false)
+	runB := collect(true)
+	if probeErr != nil {
+		return Table3Scene{}, probeErr
+	}
+	return Table3Scene{
+		Name:      name,
+		CPU:       m.Model.Name,
+		LabelA:    labelA,
+		LabelB:    labelB,
+		Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(m.Model.Vendor), 3.0),
+		KeyEvents: evaluateKeys(keys, runA, runB),
+	}, nil
+}
+
 // sceneCC measures the covert-channel probe with the transient Jcc not
 // triggered (A) vs triggered (B), evaluating keys.
 func sceneCC(keys []KeyEvent) func(*kernel.Kernel) (Table3Scene, error) {
@@ -120,34 +149,17 @@ func sceneCC(keys []KeyEvent) func(*kernel.Kernel) (Table3Scene, error) {
 		if err != nil {
 			return Table3Scene{}, err
 		}
+		probe := func(trigger bool) error {
+			_, err := pr.ProbeStable(core.UnmappedVA, trigger)
+			return err
+		}
 		// Warm up.
 		for i := 0; i < 16; i++ {
-			if _, err := pr.ProbeStable(core.UnmappedVA, false); err != nil {
+			if err := probe(false); err != nil {
 				return Table3Scene{}, err
 			}
 		}
-		var probeErr error
-		runA := pmu.Collect(m.PMU, table3Runs, func() {
-			if _, err := pr.ProbeStable(core.UnmappedVA, false); err != nil {
-				probeErr = err
-			}
-		})
-		runB := pmu.Collect(m.PMU, table3Runs, func() {
-			if _, err := pr.ProbeStable(core.UnmappedVA, true); err != nil {
-				probeErr = err
-			}
-		})
-		if probeErr != nil {
-			return Table3Scene{}, probeErr
-		}
-		return Table3Scene{
-			Name:      "TET-CC",
-			CPU:       m.Model.Name,
-			LabelA:    "Jcc not trigger",
-			LabelB:    "Jcc trigger",
-			Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(m.Model.Vendor), 3.0),
-			KeyEvents: evaluateKeys(keys, runA, runB),
-		}, nil
+		return scene(m, "TET-CC", "Jcc not trigger", "Jcc trigger", keys, probe)
 	}
 }
 
@@ -176,20 +188,6 @@ func sceneMD(k *kernel.Kernel) (Table3Scene, error) {
 			return Table3Scene{}, err
 		}
 	}
-	var probeErr error
-	runA := pmu.Collect(m.PMU, table3Runs, func() {
-		if err := probe(uint64(secret) + 1); err != nil {
-			probeErr = err
-		}
-	})
-	runB := pmu.Collect(m.PMU, table3Runs, func() {
-		if err := probe(uint64(secret)); err != nil {
-			probeErr = err
-		}
-	})
-	if probeErr != nil {
-		return Table3Scene{}, probeErr
-	}
 	keys := []KeyEvent{
 		{Event: "RESOURCE_STALLS.ANY", PaperA: 15, PaperB: 21, WantDir: 1},
 		{Event: "CYCLE_ACTIVITY.STALLS_TOTAL", PaperA: 320, PaperB: 331, WantDir: 1},
@@ -198,14 +196,12 @@ func sceneMD(k *kernel.Kernel) (Table3Scene, error) {
 		{Event: "INT_MISC.CLEAR_RESTEER_CYCLES", PaperA: 27, PaperB: 39, WantDir: 1},
 		{Event: "RS_EVENTS.EMPTY_CYCLES", PaperA: 202, PaperB: 218, WantDir: 1},
 	}
-	return Table3Scene{
-		Name:      "TET-MD",
-		CPU:       m.Model.Name,
-		LabelA:    "Jcc not trigger",
-		LabelB:    "Jcc trigger",
-		Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(m.Model.Vendor), 3.0),
-		KeyEvents: evaluateKeys(keys, runA, runB),
-	}, nil
+	return scene(m, "TET-MD", "Jcc not trigger", "Jcc trigger", keys, func(match bool) error {
+		if match {
+			return probe(uint64(secret))
+		}
+		return probe(uint64(secret) + 1)
+	})
 }
 
 // sceneKASLR measures the KASLR probe's DTLB behaviour: unmapped (A) vs
@@ -217,39 +213,26 @@ func sceneKASLR(k *kernel.Kernel) (Table3Scene, error) {
 	if err != nil {
 		return Table3Scene{}, err
 	}
-	mapped := k.KASLRBase()
 	unmapped := k.ProbeTarget((k.BaseSlot() + kernel.ImageSlots + 7) % kernel.NumSlots)
-	var probeErr error
-	measure := func(target uint64) []pmu.Run {
-		return pmu.Collect(m.PMU, table3Runs, func() {
-			k.EvictTLB()
-			// The warm probe fills the TLB iff target is mapped; the
-			// second probe is the measured one.
-			for i := 0; i < 2; i++ {
-				if _, err := pr.Probe(target, 256, 0); err != nil {
-					probeErr = err
-					return
-				}
-			}
-		})
-	}
-	runA := measure(unmapped)
-	runB := measure(mapped)
-	if probeErr != nil {
-		return Table3Scene{}, probeErr
-	}
 	keys := []KeyEvent{
 		{Event: "DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK", PaperA: 2, PaperB: 0, WantDir: -1},
 		{Event: "DTLB_LOAD_MISSES.WALK_ACTIVE", PaperA: 62, PaperB: 0, WantDir: -1},
 	}
-	return Table3Scene{
-		Name:      "TET-KASLR",
-		CPU:       m.Model.Name,
-		LabelA:    "unmapped",
-		LabelB:    "mapped",
-		Diffs:     pmu.Differential(runA, runB, pmu.EventsForVendor(m.Model.Vendor), 3.0),
-		KeyEvents: evaluateKeys(keys, runA, runB),
-	}, nil
+	return scene(m, "TET-KASLR", "unmapped", "mapped", keys, func(mapped bool) error {
+		target := unmapped
+		if mapped {
+			target = k.KASLRBase()
+		}
+		k.EvictTLB()
+		// The warm probe fills the TLB iff target is mapped; the second
+		// probe is the measured one.
+		for i := 0; i < 2; i++ {
+			if _, err := pr.Probe(target, 256, 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // RenderTable3 formats the scenes with paper-vs-measured key rows.

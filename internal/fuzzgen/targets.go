@@ -16,6 +16,7 @@ import (
 	"whisper/internal/pipeline"
 	"whisper/internal/pmu"
 	"whisper/internal/server"
+	"whisper/internal/smt"
 	"whisper/internal/snapshot"
 )
 
@@ -181,7 +182,8 @@ func checkInvariantsResetReuse(data []byte) error {
 	return inv.Err()
 }
 
-// checkInvariantsSMT audits two sibling cores in cycle lockstep with shared
+// checkInvariantsSMT audits two sibling cores run in cycle lockstep by
+// smt.DualCore.RunConcurrent, the loop MechanicalChannel runs, with shared
 // hierarchy/LFB and the §4.4 fault-flush propagation between them.
 func checkInvariantsSMT(data []byte) error {
 	s0, s1 := GeneratePair(data)
@@ -196,35 +198,9 @@ func checkInvariantsSMT(data []byte) error {
 	p1.SetInvariantChecker(inv1)
 	p0.SetSignalHandler(s0.Handler)
 	p1.SetSignalHandler(s1.Handler)
-	p0.BeginExec(s0.Prog, smtBudget)
-	p1.BeginExec(s1.Prog, smtBudget)
-	done0, done1 := false, false
-	seen0, seen1 := 0, 0
-	for !done0 || !done1 {
-		if !done0 {
-			if done0, err = p0.StepCycle(); err != nil {
-				return fmt.Errorf("smt thread 0: %w", err)
-			}
-		}
-		if !done1 {
-			if done1, err = p1.StepCycle(); err != nil {
-				return fmt.Errorf("smt thread 1: %w", err)
-			}
-		}
-		c0 := p0.Clears()
-		for _, ev := range c0[seen0:] {
-			if ev.Kind == pipeline.ClearFault {
-				p1.InjectStall(ev.Cost)
-			}
-		}
-		seen0 = len(c0)
-		c1 := p1.Clears()
-		for _, ev := range c1[seen1:] {
-			if ev.Kind == pipeline.ClearFault {
-				p0.InjectStall(ev.Cost)
-			}
-		}
-		seen1 = len(c1)
+	d := &smt.DualCore{T0: p0, T1: p1}
+	if _, _, err := d.RunConcurrent(s0.Prog, smtBudget, s1.Prog, smtBudget); err != nil {
+		return err
 	}
 	if err := inv0.Err(); err != nil {
 		return fmt.Errorf("smt thread 0: %w", err)

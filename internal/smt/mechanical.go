@@ -110,28 +110,26 @@ func (c *MechanicalChannel) Calibrate(reps int) error {
 	return nil
 }
 
-// Transfer sends data Trojan→spy over the mechanical substrate. Unlike
-// Channel.Transfer it keeps its own byte loop rather than core.LeakBytes:
-// its cost is counted on the sibling thread T1's clock, not on the
-// attacker machine's pipeline that LeakBytes reads.
+// Transfer sends data Trojan→spy over the mechanical substrate, each byte
+// through core.SendByte. Unlike Channel.Transfer it keeps its own byte loop
+// rather than core.LeakBytes: its cost is counted on the sibling thread
+// T1's clock, not on the attacker machine's pipeline that LeakBytes reads.
 func (c *MechanicalChannel) Transfer(data []byte) (core.LeakResult, error) {
 	if !c.calibrated {
 		if err := c.Calibrate(4); err != nil {
 			return core.LeakResult{}, err
 		}
 	}
+	rx := func(bit bool) (bool, error) {
+		t, err := c.sendBit(bit)
+		return t > c.threshold, err // the Trojan's flushes slowed the spy
+	}
 	startT1 := c.d.T1.Cycle()
 	out := make([]byte, len(data))
 	for i, by := range data {
-		var got byte
-		for bit := 7; bit >= 0; bit-- {
-			t, err := c.sendBit(by>>uint(bit)&1 == 1)
-			if err != nil {
-				return core.LeakResult{}, fmt.Errorf("smt: byte %d: %w", i, err)
-			}
-			if t > c.threshold {
-				got |= 1 << uint(bit)
-			}
+		got, err := core.SendByte(by, rx)
+		if err != nil {
+			return core.LeakResult{}, fmt.Errorf("smt: byte %d: %w", i, err)
 		}
 		out[i] = got
 	}

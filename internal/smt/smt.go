@@ -145,16 +145,9 @@ func (c *Channel) Transfer(data []byte) (core.LeakResult, error) {
 		}
 	}
 	return core.LeakBytes(c.k.Machine(), "SMT", len(data), func(i int) (byte, error) {
-		var got byte
-		for bit := 7; bit >= 0; bit-- {
-			iters, err := c.sendWindow(data[i]>>uint(bit)&1 == 1)
-			if err != nil {
-				return 0, err
-			}
-			if iters < c.threshold {
-				got |= 1 << uint(bit)
-			}
-		}
-		return got, nil
+		return core.SendByte(data[i], func(bit bool) (bool, error) {
+			iters, err := c.sendWindow(bit)
+			return iters < c.threshold, err // the Trojan's flushes slowed the spy
+		})
 	})
 }
